@@ -11,26 +11,19 @@
 //! frames still answer.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use swsimd_core::{CancelReason, Hit};
 use swsimd_obs::trace::TraceCtx;
 use swsimd_seq::integrity::crc32;
 
-use crate::gateway::{Gateway, StreamItem};
+use crate::conn::{observability_reply, Acceptor, Conn, Event, InFlight, STREAM_HEARTBEAT};
+use crate::gateway::{Gateway, GatewayResponse, StreamItem};
 use crate::metrics::{AbandonReason, NetCancelled, StreamMetrics};
-use crate::shard::{flight_json, flight_limit};
-use crate::wire::{ranking_digest, read_msg, write_msg, Msg, RemoteError, WireError};
-
-const POLL_STEP: Duration = Duration::from_millis(5);
-const ACCEPT_STEP: Duration = Duration::from_millis(10);
-
-/// Cadence of [`Msg::Progress`] heartbeats on an otherwise-quiet
-/// client stream: liveness proof between chunks.
-const STREAM_HEARTBEAT: Duration = Duration::from_millis(250);
+use crate::wire::{ranking_digest, write_msg, Msg, RemoteError};
 
 /// Default idle cutoff for a silent peer when none is configured.
 const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -42,20 +35,21 @@ struct FrontShared {
     gateway: Gateway,
     draining: AtomicBool,
     stopping: AtomicBool,
-    in_flight: AtomicUsize,
+    in_flight: InFlight,
     cancelled: NetCancelled,
     stream: StreamMetrics,
-    /// Per-connection read timeout: the cutoff for a peer that sends
-    /// *nothing* — streams stay alive under it via heartbeats.
+    /// Per-connection read timeout: the cutoff for a peer that stalls
+    /// mid-frame — streams stay alive under it via heartbeats.
     idle_timeout: Duration,
 }
+
+/// A front-door connection: its work is a one-shot scatter-gather.
+type FrontConn = Conn<Result<GatewayResponse, RemoteError>>;
 
 /// A running gateway front door.
 pub struct GatewayServer {
     shared: Arc<FrontShared>,
-    addr: SocketAddr,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    acceptor: Acceptor,
     drain_timeout: Duration,
 }
 
@@ -71,8 +65,8 @@ impl GatewayServer {
     }
 
     /// [`GatewayServer::start`] with an explicit idle timeout — the
-    /// read cutoff for a completely silent peer. Streams outlive it
-    /// through [`Msg::Progress`] heartbeats; only a dead connection
+    /// read cutoff for a peer that stalls mid-frame. Streams outlive
+    /// it through [`Msg::Progress`] heartbeats; only a dead connection
     /// trips it.
     pub fn start_with_idle_timeout(
         gateway: Gateway,
@@ -80,38 +74,32 @@ impl GatewayServer {
         drain_timeout: Duration,
         idle_timeout: Duration,
     ) -> std::io::Result<GatewayServer> {
-        // SO_REUSEADDR so a supervisor-respawned gateway rebinds its
-        // published port straight through TIME_WAIT.
-        let listener = crate::listen::bind_reuse(listen)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(FrontShared {
             gateway,
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
+            in_flight: InFlight::default(),
             cancelled: NetCancelled::new(),
             stream: StreamMetrics::new(),
             idle_timeout,
         });
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-        let accept_shared = Arc::clone(&shared);
-        let accept_conns = Arc::clone(&conns);
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(listener, accept_shared, accept_conns);
-        });
+        // SO_REUSEADDR so a supervisor-respawned gateway rebinds its
+        // published port straight through TIME_WAIT.
+        let listener = crate::listen::bind_reuse(listen)?;
+        let conn_shared = Arc::clone(&shared);
+        let acceptor = Acceptor::start(listener, move |stream| {
+            serve_conn(stream, &conn_shared);
+        })?;
         Ok(GatewayServer {
             shared,
-            addr,
-            accept_thread: Some(accept_thread),
-            conns,
+            acceptor,
             drain_timeout,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
     /// True once a drain has been requested.
@@ -121,7 +109,7 @@ impl GatewayServer {
 
     /// Queries currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::Acquire)
+        self.shared.in_flight.get()
     }
 
     /// Begin refusing new queries.
@@ -137,132 +125,43 @@ impl GatewayServer {
 
     fn shutdown_inner(&mut self) -> bool {
         self.drain();
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.shared.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            std::thread::sleep(POLL_STEP);
-        }
-        let clean = self.shared.in_flight.load(Ordering::Acquire) == 0;
+        let clean = self.shared.in_flight.wait_idle(self.drain_timeout);
         self.shared.stopping.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let conns = std::mem::take(&mut *lock_ok(&self.conns));
-        for c in conns {
-            let _ = c.join();
-        }
+        self.acceptor.stop();
         clean
     }
 }
 
 impl Drop for GatewayServer {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() {
+        if self.acceptor.is_running() {
             self.shutdown_inner();
         }
     }
 }
 
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<FrontShared>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    while !shared.stopping.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    let _ = serve_conn(stream, conn_shared);
-                });
-                lock_ok(&conns).push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(ACCEPT_STEP);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_STEP),
-        }
+fn pong(shared: &FrontShared, nonce: u64) -> Msg {
+    Msg::Pong {
+        nonce,
+        shard: GATEWAY_SHARD_ID,
+        draining: shared.draining.load(Ordering::Acquire),
     }
 }
 
-fn peer_gone(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut probe = [0u8; 1];
-    let gone = match stream.peek(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            false
-        }
-        Err(_) => true,
+fn serve_conn(stream: TcpStream, shared: &Arc<FrontShared>) {
+    let Some(mut conn) = FrontConn::open(stream, shared.idle_timeout, "gateway_front") else {
+        return;
     };
-    let _ = stream.set_nonblocking(false);
-    gone
-}
-
-fn serve_conn(mut stream: TcpStream, shared: Arc<FrontShared>) -> std::io::Result<()> {
-    crate::listen::apply_socket_opts(&stream, Some(shared.idle_timeout), "gateway_front");
-    loop {
-        loop {
-            if shared.stopping.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if peer_gone(&stream) {
-                return Ok(());
-            }
-            let mut probe = [0u8; 1];
-            let _ = stream.set_nonblocking(true);
-            let ready = matches!(stream.peek(&mut probe), Ok(n) if n > 0);
-            let _ = stream.set_nonblocking(false);
-            if ready {
-                break;
-            }
-            std::thread::sleep(POLL_STEP);
-        }
-        let msg = match read_msg(&mut stream) {
-            Ok(m) => m,
-            Err(WireError::Eof) => return Ok(()),
-            Err(_) => return Ok(()),
-        };
-        match msg {
-            Msg::Ping { nonce } => {
-                let pong = Msg::Pong {
-                    nonce,
-                    shard: GATEWAY_SHARD_ID,
-                    draining: shared.draining.load(Ordering::Acquire),
-                };
-                if write_msg(&mut stream, &pong).is_err() {
-                    return Ok(());
-                }
-            }
+    while let Some(msg) = conn.next_request() {
+        let reply = match msg {
+            Msg::Ping { nonce } => pong(shared, nonce),
             Msg::Drain => {
                 shared.draining.store(true, Ordering::Release);
-                let ack = Msg::Pong {
-                    nonce: 0,
-                    shard: GATEWAY_SHARD_ID,
-                    draining: true,
-                };
-                if write_msg(&mut stream, &ack).is_err() {
-                    return Ok(());
-                }
+                pong(shared, 0)
             }
-            Msg::MetricsRequest => {
-                let text = swsimd_obs::global().prometheus_text().into_bytes();
-                if write_msg(&mut stream, &Msg::MetricsText { text }).is_err() {
-                    return Ok(());
-                }
-            }
+            // Gateways have no standby state; acknowledge so a
+            // supervisor can treat the frame uniformly.
+            Msg::Activate => pong(shared, 0),
             Msg::Query {
                 id,
                 top_k,
@@ -272,8 +171,8 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<FrontShared>) -> std::io::Resul
                 tenant,
                 ..
             } => match handle_query(
-                &shared,
-                &stream,
+                shared,
+                &mut conn,
                 id,
                 top_k,
                 deadline_ms,
@@ -281,50 +180,9 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<FrontShared>) -> std::io::Resul
                 trace,
                 tenant,
             ) {
-                Some(reply) => {
-                    if write_msg(&mut stream, &reply).is_err() {
-                        return Ok(());
-                    }
-                }
-                None => return Ok(()),
+                Some(reply) => reply,
+                None => return,
             },
-            Msg::TraceRequest { trace_id } => {
-                let records = swsimd_obs::flight::global()
-                    .lookup(trace_id)
-                    .into_iter()
-                    .collect();
-                if write_msg(&mut stream, &Msg::FlightRecords { records }).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::SlowlogRequest { limit } => {
-                let records = swsimd_obs::flight::global().slowlog(flight_limit(limit));
-                if write_msg(&mut stream, &Msg::FlightRecords { records }).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::FlightJsonRequest {
-                trace_id,
-                limit,
-                slow_only,
-            } => {
-                let text = flight_json(trace_id, limit, slow_only).into_bytes();
-                if write_msg(&mut stream, &Msg::FlightJson { text }).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::Activate => {
-                // Gateways have no standby state; acknowledge so a
-                // supervisor can treat the frame uniformly.
-                let ack = Msg::Pong {
-                    nonce: 0,
-                    shard: GATEWAY_SHARD_ID,
-                    draining: shared.draining.load(Ordering::Acquire),
-                };
-                if write_msg(&mut stream, &ack).is_err() {
-                    return Ok(());
-                }
-            }
             Msg::StreamQuery {
                 id,
                 top_k,
@@ -345,9 +203,11 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<FrontShared>) -> std::io::Resul
                     tenant,
                     filter: HashMap::new(),
                 };
-                if !handle_stream(&shared, &mut stream, req) {
-                    return Ok(());
+                if !handle_stream(shared, &mut conn, req) {
+                    return;
                 }
+                conn.finish_stream(id);
+                continue;
             }
             Msg::Resume {
                 id,
@@ -361,55 +221,49 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<FrontShared>) -> std::io::Resul
                 if token.query_crc != crc32(&query) {
                     // The token binds the query by hash; these bytes
                     // are not the query it claims to continue.
-                    if write_msg(
-                        &mut stream,
-                        &Msg::Error {
-                            id,
-                            err: RemoteError::BadResumeToken,
-                        },
-                    )
-                    .is_err()
-                    {
-                        return Ok(());
+                    Msg::Error {
+                        id,
+                        err: RemoteError::BadResumeToken,
                     }
+                } else {
+                    shared.stream.resumes.inc();
+                    swsimd_obs::event!(
+                        "stream_resume",
+                        "id" => id,
+                        "trace_id" => token.trace_id,
+                        "slices" => token.cursors.len()
+                    );
+                    let req = StreamReq {
+                        id,
+                        // The resumed merge must run at the original
+                        // depth or the Fin digest would describe a
+                        // different ranking than the one the client
+                        // assembled.
+                        top_k: token.top_k,
+                        deadline_ms,
+                        credit,
+                        query,
+                        trace,
+                        tenant,
+                        filter: token.cursors.iter().copied().collect(),
+                    };
+                    if !handle_stream(shared, &mut conn, req) {
+                        return;
+                    }
+                    conn.finish_stream(id);
                     continue;
                 }
-                shared.stream.resumes.inc();
-                swsimd_obs::event!(
-                    "stream_resume",
-                    "id" => id,
-                    "trace_id" => token.trace_id,
-                    "slices" => token.cursors.len()
-                );
-                let req = StreamReq {
-                    id,
-                    // The resumed merge must run at the original depth
-                    // or the Fin digest would describe a different
-                    // ranking than the one the client assembled.
-                    top_k: token.top_k,
-                    deadline_ms,
-                    credit,
-                    query,
-                    trace,
-                    tenant,
-                    filter: token.cursors.iter().copied().collect(),
-                };
-                if !handle_stream(&shared, &mut stream, req) {
-                    return Ok(());
-                }
             }
-            // Reply kinds (and mid-stream frames outside a stream) on
-            // a fresh request slot are a protocol violation: close.
-            Msg::Hits { .. }
-            | Msg::Error { .. }
-            | Msg::Pong { .. }
-            | Msg::MetricsText { .. }
-            | Msg::FlightRecords { .. }
-            | Msg::FlightJson { .. }
-            | Msg::StreamChunk { .. }
-            | Msg::Progress { .. }
-            | Msg::Credit { .. }
-            | Msg::Fin { .. } => return Ok(()),
+            // Observability requests answer as on every server. Reply
+            // kinds (and mid-stream frames outside a stream) on a fresh
+            // request slot are a protocol violation: close.
+            other => match observability_reply(&other) {
+                Some(reply) => reply,
+                None => return,
+            },
+        };
+        if write_msg(&mut conn.stream, &reply).is_err() {
+            return;
         }
     }
 }
@@ -430,52 +284,37 @@ struct StreamReq {
     filter: HashMap<u32, u64>,
 }
 
-/// Serve one streaming query on `stream`. Returns false when the
+/// Serve one streaming query on `conn`. Returns false when the
 /// connection should close (client gone or protocol violation); true
 /// keeps it open for the next request.
-fn handle_stream(shared: &Arc<FrontShared>, stream: &mut TcpStream, req: StreamReq) -> bool {
-    let StreamReq {
-        id,
-        top_k,
-        deadline_ms,
-        credit,
-        query,
-        trace,
-        tenant,
-        filter,
-    } = req;
+fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: StreamReq) -> bool {
+    let id = req.id;
     if shared.draining.load(Ordering::Acquire) {
-        return write_msg(
-            stream,
-            &Msg::Error {
-                id,
-                err: RemoteError::Draining,
-            },
-        )
-        .is_ok();
+        let err = RemoteError::Draining;
+        return write_msg(&mut conn.stream, &Msg::Error { id, err }).is_ok();
     }
-    let _guard = InFlight::enter(&shared.in_flight);
-    let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
+    let _guard = shared.in_flight.enter();
+    let deadline = (req.deadline_ms > 0).then(|| Duration::from_millis(u64::from(req.deadline_ms)));
     // The gateway always re-pulls every slice from cursor 0 — a
     // resume replays cheap durable journal state — so the final merge
     // and Fin digest always cover the whole ranking; `delivered`
     // (seeded from the resume token) only gates what is re-sent.
     let mut gs = match shared.gateway.stream_query_traced_for(
-        &tenant,
-        &query,
-        top_k as usize,
+        &req.tenant,
+        &req.query,
+        req.top_k as usize,
         deadline,
-        trace,
-        credit,
+        req.trace,
+        req.credit,
     ) {
         Ok(gs) => gs,
-        Err(err) => return write_msg(stream, &Msg::Error { id, err }).is_ok(),
+        Err(err) => return write_msg(&mut conn.stream, &Msg::Error { id, err }).is_ok(),
     };
-    let mut delivered = filter;
-    let mut client_credit = credit;
+    let mut delivered = req.filter;
+    let mut client_credit = req.credit;
     let mut stall_counted = false;
-    let mut last_write = Instant::now();
-    let mut pending: Option<(u32, u64, Vec<Hit>)> = None;
+    let mut next_beat = Instant::now() + STREAM_HEARTBEAT;
+    let mut held: Option<(u32, u64, Vec<Hit>)> = None;
     let abandon = |reason: AbandonReason| {
         shared.stream.abandon(reason);
         swsimd_obs::event!(
@@ -486,58 +325,24 @@ fn handle_stream(shared: &Arc<FrontShared>, stream: &mut TcpStream, req: StreamR
         );
     };
     loop {
-        // 1. Absorb client frames: only Credit grants are legal
-        //    mid-stream.
-        while frame_ready(stream) {
-            match read_msg(stream) {
-                Ok(Msg::Credit { id: cid, credits }) if cid == id => {
-                    client_credit = client_credit.saturating_add(credits);
-                    stall_counted = false;
-                }
-                _ => {
-                    abandon(AbandonReason::Error);
-                    return false;
-                }
-            }
-        }
-        // 2. Liveness and shutdown.
-        if peer_gone(stream) {
-            shared.cancelled.record(CancelReason::ClientDrop);
-            abandon(AbandonReason::ClientDrop);
-            return false;
-        }
-        if shared.stopping.load(Ordering::Acquire) {
-            shared.cancelled.record(CancelReason::Shutdown);
-            abandon(AbandonReason::Shutdown);
-            let _ = write_msg(
-                stream,
-                &Msg::Error {
-                    id,
-                    err: RemoteError::Serve(swsimd_runner::ServeError::ShutDown),
-                },
-            );
-            return false;
-        }
-        // 3. Pull the next merge item unless one is already waiting
-        //    on client credit. Holding at most one chunk here keeps
-        //    the rest in the gateway's bounded buffer, so
-        //    backpressure reaches the shards through their own
-        //    credit windows — and `Fin` (which needs no credit) can
+        // 1. Wait for what can move the stream forward, at most until
+        //    the next heartbeat: the next merge item while no chunk is
+        //    held, else a credit grant from the client. Holding at most
+        //    one chunk here keeps the rest in the gateway's bounded
+        //    buffer, so backpressure reaches the shards through their
+        //    own credit windows — and `Fin` (which needs no credit) can
         //    still surface once the last chunk drains.
-        if pending.is_none() {
-            match gs.next_timeout(POLL_STEP) {
+        let mut event = if held.is_none() {
+            match gs.next_timeout(next_beat.saturating_duration_since(Instant::now())) {
+                // A chunk the resume token already covers is folded
+                // upstream but not re-sent — and spends no client
+                // credit.
                 Some(StreamItem::Chunk {
                     slice,
                     cursor,
                     hits,
-                }) => {
-                    let seen = delivered.get(&slice).copied().unwrap_or(0);
-                    // A chunk the resume token already covers is
-                    // folded upstream but not re-sent — and spends no
-                    // client credit.
-                    if cursor > seen {
-                        pending = Some((slice, cursor, hits));
-                    }
+                }) if cursor > delivered.get(&slice).copied().unwrap_or(0) => {
+                    held = Some((slice, cursor, hits));
                 }
                 Some(StreamItem::Fin(result)) => {
                     let fin = match result {
@@ -551,21 +356,56 @@ fn handle_stream(shared: &Arc<FrontShared>, stream: &mut TcpStream, req: StreamR
                         },
                         Err(err) => Msg::Error { id, err },
                     };
-                    return write_msg(stream, &fin).is_ok();
+                    return write_msg(&mut conn.stream, &fin).is_ok();
                 }
-                None => {}
+                Some(StreamItem::Chunk { .. }) | None => {}
             }
+            conn.try_recv()
+        } else {
+            if !stall_counted {
+                shared.stream.credit_stalls.inc();
+                stall_counted = true;
+            }
+            conn.recv_until(next_beat)
+        };
+        // 2. Absorb client events: credit grants are the only frames
+        //    legal mid-stream.
+        while let Some(ev) = event {
+            match ev {
+                Event::Frame(Msg::Credit { id: cid, credits }) if cid == id => {
+                    client_credit = client_credit.saturating_add(credits);
+                    stall_counted = false;
+                }
+                Event::Closed if shared.stopping.load(Ordering::Acquire) => {
+                    shared.cancelled.record(CancelReason::Shutdown);
+                    abandon(AbandonReason::Shutdown);
+                    let err = RemoteError::Serve(swsimd_runner::ServeError::ShutDown);
+                    let _ = write_msg(&mut conn.stream, &Msg::Error { id, err });
+                    return false;
+                }
+                Event::Closed => {
+                    shared.cancelled.record(CancelReason::ClientDrop);
+                    abandon(AbandonReason::ClientDrop);
+                    return false;
+                }
+                Event::Frame(_) => {
+                    abandon(AbandonReason::Error);
+                    return false;
+                }
+                Event::Work(_) => {}
+            }
+            event = conn.try_recv();
         }
-        // 4. Deliver the held chunk once credit allows.
-        if let Some((slice, cursor, hits)) = pending.take() {
-            if client_credit > 0 {
+        // 3. Deliver the held chunk once credit allows.
+        if client_credit > 0 {
+            if let Some((slice, cursor, hits)) = held.take() {
                 let chunk = Msg::StreamChunk {
                     id,
                     shard: slice,
                     cursor,
                     hits,
                 };
-                if write_msg(stream, &chunk).is_err() {
+                if write_msg(&mut conn.stream, &chunk).is_err() {
                     shared.cancelled.record(CancelReason::ClientDrop);
                     abandon(AbandonReason::ClientDrop);
                     return false;
@@ -573,68 +413,35 @@ fn handle_stream(shared: &Arc<FrontShared>, stream: &mut TcpStream, req: StreamR
                 shared.stream.chunks.inc();
                 client_credit -= 1;
                 delivered.insert(slice, cursor);
-                last_write = Instant::now();
-            } else {
-                if !stall_counted {
-                    shared.stream.credit_stalls.inc();
-                    stall_counted = true;
-                }
-                pending = Some((slice, cursor, hits));
-                std::thread::sleep(POLL_STEP);
+                next_beat = Instant::now() + STREAM_HEARTBEAT;
             }
         }
-        // 5. Heartbeat: prove liveness (and carry cost accounting)
+        // 4. Heartbeat: prove liveness (and carry cost accounting)
         //    whenever no chunk went out recently.
-        if last_write.elapsed() >= STREAM_HEARTBEAT {
+        if Instant::now() >= next_beat {
             let (cells_done, cells_total) = gs.progress();
             let beat = Msg::Progress {
                 id,
                 cells_done,
                 cells_total,
             };
-            if write_msg(stream, &beat).is_err() {
+            if write_msg(&mut conn.stream, &beat).is_err() {
                 shared.cancelled.record(CancelReason::ClientDrop);
                 abandon(AbandonReason::ClientDrop);
                 return false;
             }
-            last_write = Instant::now();
+            next_beat = Instant::now() + STREAM_HEARTBEAT;
         }
     }
 }
 
-/// Nonblocking "is a frame waiting" probe.
-fn frame_ready(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let mut probe = [0u8; 1];
-    let ready = matches!(stream.peek(&mut probe), Ok(n) if n > 0);
-    let _ = stream.set_nonblocking(false);
-    ready
-}
-
-struct InFlight<'a>(&'a AtomicUsize);
-
-impl<'a> InFlight<'a> {
-    fn enter(c: &'a AtomicUsize) -> Self {
-        c.fetch_add(1, Ordering::AcqRel);
-        InFlight(c)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// Run the scatter-gather on a worker thread while this connection
-/// thread watches for client disconnect; `None` means the client went
-/// away and the connection should close without a reply.
+/// thread waits for it or for the client to hang up; `None` means the
+/// client went away and the connection should close without a reply.
 #[allow(clippy::too_many_arguments)] // wire fields arrive together
 fn handle_query(
     shared: &Arc<FrontShared>,
-    stream: &TcpStream,
+    conn: &mut FrontConn,
     id: u64,
     top_k: u32,
     deadline_ms: u32,
@@ -648,35 +455,30 @@ fn handle_query(
             err: RemoteError::Draining,
         });
     }
-    let _guard = InFlight::enter(&shared.in_flight);
+    let _guard = shared.in_flight.enter();
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-    let (tx, rx) = mpsc::channel();
     let gw = shared.gateway.clone();
-    std::thread::spawn(move || {
-        let _ = tx.send(gw.query_traced_for(&tenant, &query, top_k as usize, deadline, trace));
-    });
-    let result = loop {
-        match rx.recv_timeout(POLL_STEP) {
-            Ok(r) => break r,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(RemoteError::Unavailable);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if peer_gone(stream) {
-                    // Stop waiting; shard-side attempts notice the
-                    // gateway hang-ups and cancel their own jobs.
-                    shared.cancelled.record(CancelReason::ClientDrop);
-                    swsimd_obs::event!("net_client_drop", "id" => id, "at" => "gateway");
-                    return None;
-                }
-                if shared.stopping.load(Ordering::Acquire) {
-                    shared.cancelled.record(CancelReason::Shutdown);
-                    return Some(Msg::Error {
-                        id,
-                        err: RemoteError::Serve(swsimd_runner::ServeError::ShutDown),
-                    });
-                }
-            }
+    conn.spawn_work(
+        move || gw.query_traced_for(&tenant, &query, top_k as usize, deadline, trace),
+        Err(RemoteError::Unavailable),
+    );
+    let result = match conn.recv() {
+        Event::Work(result) => result,
+        Event::Closed if shared.stopping.load(Ordering::Acquire) => {
+            shared.cancelled.record(CancelReason::Shutdown);
+            return Some(Msg::Error {
+                id,
+                err: RemoteError::Serve(swsimd_runner::ServeError::ShutDown),
+            });
+        }
+        // Stop waiting; shard-side attempts notice the gateway hang-ups
+        // and cancel their own jobs. A frame before the reply breaks
+        // the request-response discipline: the client is treated as
+        // gone.
+        Event::Closed | Event::Frame(_) => {
+            shared.cancelled.record(CancelReason::ClientDrop);
+            swsimd_obs::event!("net_client_drop", "id" => id, "at" => "gateway");
+            return None;
         }
     };
     Some(match result {

@@ -49,6 +49,7 @@ use swsimd_runner::{
 
 use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerState, ShardBreaker};
+use crate::conn::lock_ok;
 use crate::metrics::{GatewayMetrics, ReplicaMetrics, StreamMetrics, TenantEdgeMetrics};
 use crate::wire::{ranking_digest, read_msg, write_msg, Msg, RemoteError, WireError};
 
@@ -766,10 +767,6 @@ impl Drop for ProberHandle {
     }
 }
 
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Edge admission shared by the one-shot and streaming paths: token
 /// bucket first (cheapest to explain to the caller), then the
 /// concurrency cap. Both reject with a typed error carrying a backoff
@@ -935,8 +932,14 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
         .ok_or_else(|| std::io::Error::other("address resolved to nothing"))
 }
 
-/// Remaining milliseconds until `deadline_at` for the wire (0 = no
-/// deadline); `None` when already expired.
+/// Part of the remaining time a shard's budget leaves for its reply to
+/// travel back: a shard that spends its whole budget still lands its
+/// typed `DeadlineExceeded` before the gateway's own read gives up.
+const REPLY_MARGIN: Duration = Duration::from_millis(5);
+
+/// Milliseconds a shard may spend before `deadline_at`, less the reply
+/// margin (at least 1; 0 on the wire = no deadline); `None` when
+/// already expired.
 fn budget_ms(deadline_at: Option<Instant>) -> Option<u32> {
     match deadline_at {
         None => Some(0),
@@ -945,7 +948,8 @@ fn budget_ms(deadline_at: Option<Instant>) -> Option<u32> {
             if left.is_zero() {
                 None
             } else {
-                Some(left.as_millis().min(u64::from(u32::MAX) as u128) as u32)
+                let budget = left.saturating_sub(REPLY_MARGIN).as_millis().max(1);
+                Some(budget.min(u128::from(u32::MAX)) as u32)
             }
         }
     }

@@ -9,8 +9,8 @@
 //!
 //! Robustness wiring:
 //! - a real TCP disconnect while a query is computing cancels the job
-//!   with [`CancelReason::ClientDrop`] (observed via a non-blocking
-//!   `peek` between reply polls) and charges
+//!   with [`CancelReason::ClientDrop`] the moment the connection's
+//!   reader sees the hang-up (see [`crate::conn`]) and charges
 //!   `swsimd_net_cancelled_total{reason="client_drop"}`;
 //! - with a journal directory configured, every query checkpoints
 //!   through [`swsimd_runner::journal`]; a drain or crash mid-query
@@ -21,10 +21,10 @@
 //!   against this real server.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use swsimd_core::{AlignerBuilder, CancelReason, CancelToken, Hit};
@@ -38,21 +38,11 @@ use swsimd_runner::{
 };
 use swsimd_seq::{integrity::crc32, Database};
 
+use crate::conn::{
+    lock_ok, observability_reply, Acceptor, Conn, Event, InFlight, STREAM_HEARTBEAT,
+};
 use crate::metrics::{AbandonReason, NetCancelled, StreamMetrics};
-use crate::wire::{ranking_digest, read_msg, Msg, RemoteError, WireError};
-
-/// How often a blocked reply poll interleaves a connection-liveness
-/// check.
-const POLL_STEP: Duration = Duration::from_millis(5);
-
-/// Accept-loop poll period for stop/drain flags.
-const ACCEPT_STEP: Duration = Duration::from_millis(10);
-
-/// How often a streaming connection proves liveness with a
-/// [`Msg::Progress`] frame when no chunk is ready. Receivers treat
-/// any stream frame as activity, so their idle timeout only fires
-/// after several missed heartbeats — "slow but alive" stays alive.
-const STREAM_HEARTBEAT: Duration = Duration::from_millis(250);
+use crate::wire::{ranking_digest, Msg, RemoteError};
 
 /// Configuration for one shard worker.
 pub struct ShardConfig {
@@ -80,9 +70,9 @@ pub struct ShardConfig {
     /// [`Msg::Activate`] to promote this replica to live duty.
     pub standby: bool,
     /// Read-timeout backstop on accepted connections: how long a
-    /// blocking mid-frame read may stall before the peer is declared
-    /// wedged. Streams heartbeat well inside this, so only a truly
-    /// silent peer trips it — a slow query no longer can.
+    /// frame may stall mid-read before the peer is declared wedged.
+    /// Idle time between frames never trips it, and streams heartbeat
+    /// well inside it, so a slow query cannot either.
     pub idle_timeout: Duration,
 }
 
@@ -119,7 +109,7 @@ struct ShardShared {
     draining: AtomicBool,
     standby: AtomicBool,
     stopping: AtomicBool,
-    in_flight: AtomicUsize,
+    in_flight: InFlight,
     cancelled: NetCancelled,
     stream: StreamMetrics,
     idle_timeout: Duration,
@@ -133,9 +123,7 @@ struct ShardShared {
 /// aborts connections without draining.
 pub struct ShardServer {
     shared: Arc<ShardShared>,
-    addr: SocketAddr,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    acceptor: Acceptor,
     drain_timeout: Duration,
 }
 
@@ -171,12 +159,6 @@ impl ShardServer {
             std::fs::create_dir_all(dir)?;
         }
 
-        // SO_REUSEADDR: a supervised respawn must rebind this exact
-        // port even while the dead process's socket sits in TIME_WAIT.
-        let listener = crate::listen::bind_reuse(&cfg.listen)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
         let shared = Arc::new(ShardShared {
             client: server.client(),
             shard_index: cfg.shard_index,
@@ -190,7 +172,7 @@ impl ShardServer {
             draining: AtomicBool::new(false),
             standby: AtomicBool::new(cfg.standby),
             stopping: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
+            in_flight: InFlight::default(),
             cancelled: NetCancelled::new(),
             stream: StreamMetrics::new(),
             idle_timeout: cfg.idle_timeout,
@@ -198,25 +180,24 @@ impl ShardServer {
             server: Mutex::new(Some(server)),
         });
 
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-        let accept_shared = Arc::clone(&shared);
-        let accept_conns = Arc::clone(&conns);
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(listener, accept_shared, accept_conns);
-        });
+        // SO_REUSEADDR: a supervised respawn must rebind this exact
+        // port even while the dead process's socket sits in TIME_WAIT.
+        let listener = crate::listen::bind_reuse(&cfg.listen)?;
+        let conn_shared = Arc::clone(&shared);
+        let acceptor = Acceptor::start(listener, move |stream| {
+            serve_conn(stream, &conn_shared);
+        })?;
 
         Ok(ShardServer {
             shared,
-            addr,
-            accept_thread: Some(accept_thread),
-            conns,
+            acceptor,
             drain_timeout: cfg.drain_timeout,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
     /// True once a drain has been requested (locally or by a
@@ -239,7 +220,7 @@ impl ShardServer {
 
     /// Queries currently computing.
     pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::Acquire)
+        self.shared.in_flight.get()
     }
 
     /// Begin refusing new queries (health probes still answer).
@@ -257,20 +238,10 @@ impl ShardServer {
 
     fn shutdown_inner(&mut self) -> bool {
         self.drain();
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.shared.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            std::thread::sleep(POLL_STEP);
-        }
-        let clean = self.shared.in_flight.load(Ordering::Acquire) == 0;
+        let clean = self.shared.in_flight.wait_idle(self.drain_timeout);
         self.shared.stopping.store(true, Ordering::Release);
         self.shared.shard_cancel.cancel(CancelReason::Shutdown);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let conns = std::mem::take(&mut *lock_ok(&self.conns));
-        for c in conns {
-            let _ = c.join();
-        }
+        self.acceptor.stop();
         if let Some(server) = lock_ok(&self.shared.server).take() {
             server.shutdown();
         }
@@ -280,63 +251,10 @@ impl ShardServer {
 
 impl Drop for ShardServer {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() {
+        if self.acceptor.is_running() {
             self.shutdown_inner();
         }
     }
-}
-
-/// Mutex lock that shrugs off poisoning (connection threads may panic
-/// on injected faults without wedging shutdown).
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<ShardShared>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    while !shared.stopping.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    let _ = serve_conn(stream, conn_shared);
-                });
-                lock_ok(&conns).push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(ACCEPT_STEP);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_STEP),
-        }
-    }
-}
-
-/// True when the peer has disconnected (a liveness check between
-/// reply polls; never blocks).
-fn peer_gone(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut probe = [0u8; 1];
-    let gone = match stream.peek(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            false
-        }
-        Err(_) => true,
-    };
-    let _ = stream.set_nonblocking(false);
-    gone
 }
 
 /// Write `msg`, applying any armed reply faults. Returns false when
@@ -368,80 +286,50 @@ fn write_reply(stream: &mut TcpStream, shared: &ShardShared, msg: &Msg) -> bool 
         .is_ok()
 }
 
-fn serve_conn(mut stream: TcpStream, shared: Arc<ShardShared>) -> std::io::Result<()> {
-    // Backstop so a wedged peer cannot pin this thread forever; the
-    // idle wait below uses non-blocking peeks, so this only bounds
-    // mid-frame stalls. Configurable (and heartbeat-complemented on
-    // the stream path) rather than a hardcoded 30s.
-    crate::listen::apply_socket_opts(&stream, Some(shared.idle_timeout), "shard");
-    loop {
-        // Idle wait: watch for the first byte of a frame without
-        // committing to a blocking read, so stop/drain flags stay
-        // responsive.
-        loop {
-            if shared.stopping.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if peer_gone(&stream) {
-                return Ok(());
-            }
-            let mut probe = [0u8; 1];
-            let _ = stream.set_nonblocking(true);
-            let ready = matches!(stream.peek(&mut probe), Ok(n) if n > 0);
-            let _ = stream.set_nonblocking(false);
-            if ready {
-                break;
-            }
-            std::thread::sleep(POLL_STEP);
-        }
-        let msg = match read_msg(&mut stream) {
-            Ok(m) => m,
-            Err(WireError::Eof) => return Ok(()),
-            Err(_) => return Ok(()), // torn/corrupt request: drop the conn
-        };
-        match msg {
-            Msg::Ping { nonce } => {
-                // A standby advertises `draining` so gateways keep it
-                // unrouted until the supervisor promotes it.
-                let pong = Msg::Pong {
-                    nonce,
-                    shard: shared.shard_index,
-                    draining: shared.draining.load(Ordering::Acquire)
-                        || shared.standby.load(Ordering::Acquire),
-                };
-                if !write_reply(&mut stream, &shared, &pong) {
-                    return Ok(());
-                }
-            }
+/// Worker → connection events for one query. The durable worker sends
+/// every chunk before `Done` on the same channel, so the connection has
+/// every chunk once it sees `Done`.
+enum StreamEv {
+    /// `(cursor, globalized top-k hits)` for one journal chunk.
+    Chunk(u64, Vec<Hit>),
+    Done(Result<QueryOutcome, ServeError>),
+}
+
+/// A shard connection: its work reports journal chunks and outcomes.
+type ShardConn = Conn<StreamEv>;
+
+fn pong(shared: &ShardShared, nonce: u64, draining: bool) -> Msg {
+    Msg::Pong {
+        nonce,
+        shard: shared.shard_index,
+        draining,
+    }
+}
+
+fn serve_conn(stream: TcpStream, shared: &Arc<ShardShared>) {
+    // The idle timeout is a backstop so a peer wedged mid-frame cannot
+    // pin this connection forever; streams heartbeat well inside it.
+    let Some(mut conn) = ShardConn::open(stream, shared.idle_timeout, "shard") else {
+        return;
+    };
+    while let Some(msg) = conn.next_request() {
+        let reply = match msg {
+            // A standby advertises `draining` so gateways keep it
+            // unrouted until the supervisor promotes it.
+            Msg::Ping { nonce } => pong(
+                shared,
+                nonce,
+                shared.draining.load(Ordering::Acquire) || shared.standby.load(Ordering::Acquire),
+            ),
             Msg::Activate => {
                 if shared.standby.swap(false, Ordering::AcqRel) {
                     swsimd_obs::event!("standby_activated", "shard" => shared.shard_index);
                 }
-                let ack = Msg::Pong {
-                    nonce: 0,
-                    shard: shared.shard_index,
-                    draining: shared.draining.load(Ordering::Acquire),
-                };
-                if !write_reply(&mut stream, &shared, &ack) {
-                    return Ok(());
-                }
+                pong(shared, 0, shared.draining.load(Ordering::Acquire))
             }
             Msg::Drain => {
                 shared.draining.store(true, Ordering::Release);
-                let ack = Msg::Pong {
-                    nonce: 0,
-                    shard: shared.shard_index,
-                    draining: true,
-                };
-                if !write_reply(&mut stream, &shared, &ack) {
-                    return Ok(());
-                }
-            }
-            Msg::MetricsRequest => {
-                let text = swsimd_obs::global().prometheus_text().into_bytes();
-                if !write_reply(&mut stream, &shared, &Msg::MetricsText { text }) {
-                    return Ok(());
-                }
+                pong(shared, 0, true)
             }
             Msg::Query {
                 id,
@@ -453,9 +341,7 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<ShardShared>) -> std::io::Resul
                 trace,
                 tenant,
             } => {
-                let reply = handle_query(
-                    &shared,
-                    &stream,
+                let req = Req {
                     id,
                     top_k,
                     deadline_ms,
@@ -463,41 +349,12 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<ShardShared>) -> std::io::Resul
                     slice_count,
                     query,
                     trace,
-                    &tenant,
-                );
-                match reply {
-                    Some(msg) => {
-                        if !write_reply(&mut stream, &shared, &msg) {
-                            return Ok(());
-                        }
-                    }
+                    tenant,
+                };
+                match handle_query(&mut conn, shared, req) {
+                    Some(reply) => reply,
                     // Client dropped mid-compute: nobody to answer.
-                    None => return Ok(()),
-                }
-            }
-            Msg::TraceRequest { trace_id } => {
-                let records = swsimd_obs::flight::global()
-                    .lookup(trace_id)
-                    .into_iter()
-                    .collect();
-                if !write_reply(&mut stream, &shared, &Msg::FlightRecords { records }) {
-                    return Ok(());
-                }
-            }
-            Msg::SlowlogRequest { limit } => {
-                let records = swsimd_obs::flight::global().slowlog(flight_limit(limit));
-                if !write_reply(&mut stream, &shared, &Msg::FlightRecords { records }) {
-                    return Ok(());
-                }
-            }
-            Msg::FlightJsonRequest {
-                trace_id,
-                limit,
-                slow_only,
-            } => {
-                let text = flight_json(trace_id, limit, slow_only).into_bytes();
-                if !write_reply(&mut stream, &shared, &Msg::FlightJson { text }) {
-                    return Ok(());
+                    None => return,
                 }
             }
             Msg::StreamQuery {
@@ -512,125 +369,40 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<ShardShared>) -> std::io::Resul
                 trace,
                 tenant,
             } => {
-                let keep = handle_stream_query(
-                    &mut stream,
-                    &shared,
-                    StreamReq {
-                        id,
-                        top_k,
-                        deadline_ms,
-                        slice_index,
-                        slice_count,
-                        credit,
-                        cursor,
-                        query,
-                        trace,
-                        tenant,
-                    },
-                );
-                if !keep {
-                    return Ok(());
+                let req = Req {
+                    id,
+                    top_k,
+                    deadline_ms,
+                    slice_index,
+                    slice_count,
+                    query,
+                    trace,
+                    tenant,
+                };
+                if !handle_stream_query(&mut conn, shared, req, credit, cursor) {
+                    return;
                 }
+                conn.finish_stream(id);
+                continue;
             }
-            // Reply kinds have no meaning as requests, a stray Credit
-            // has no stream to feed, and Resume is a gateway-only
-            // request (shards reconnect with a StreamQuery cursor).
-            Msg::Hits { .. }
-            | Msg::Error { .. }
-            | Msg::Pong { .. }
-            | Msg::MetricsText { .. }
-            | Msg::FlightRecords { .. }
-            | Msg::FlightJson { .. }
-            | Msg::StreamChunk { .. }
-            | Msg::Progress { .. }
-            | Msg::Credit { .. }
-            | Msg::Resume { .. }
-            | Msg::Fin { .. } => return Ok(()),
-        }
-    }
-}
-
-/// Flight-recorder list limit: 0 on the wire means "server default".
-pub(crate) fn flight_limit(limit: u32) -> usize {
-    if limit == 0 {
-        32
-    } else {
-        limit as usize
-    }
-}
-
-/// Render a [`Msg::FlightJsonRequest`] against the process-global
-/// flight recorder: one record (or `null`) in single-trace mode, a
-/// JSON array in list mode. Shared by shard and gateway front ends.
-pub(crate) fn flight_json(trace_id: u64, limit: u32, slow_only: bool) -> String {
-    let recorder = swsimd_obs::flight::global();
-    if trace_id != 0 {
-        return match recorder.lookup(trace_id) {
-            Some(rec) => rec.to_json(),
-            None => "null".into(),
-        };
-    }
-    let n = flight_limit(limit);
-    if slow_only {
-        recorder.slowlog_json(n)
-    } else {
-        recorder.recent_json(n)
-    }
-}
-
-/// Track one in-flight query for drain accounting.
-struct InFlight<'a>(&'a AtomicUsize);
-
-impl<'a> InFlight<'a> {
-    fn enter(c: &'a AtomicUsize) -> Self {
-        c.fetch_add(1, Ordering::AcqRel);
-        InFlight(c)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Either compute path, awaited in steps.
-enum Pending {
-    Server(swsimd_runner::PendingQuery),
-    Durable {
-        rx: mpsc::Receiver<Result<QueryOutcome, ServeError>>,
-        token: CancelToken,
-    },
-}
-
-impl Pending {
-    fn poll(&self, step: Duration) -> Option<Result<QueryOutcome, ServeError>> {
-        match self {
-            Pending::Server(p) => p.poll(step),
-            Pending::Durable { rx, .. } => match rx.recv_timeout(step) {
-                Ok(r) => Some(r),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServeError::ShutDown)),
+            // Observability requests answer as on every server. Reply
+            // kinds have no meaning as requests, a stray Credit has no
+            // stream to feed, and Resume is a gateway-only request
+            // (shards reconnect with a StreamQuery cursor): close.
+            other => match observability_reply(&other) {
+                Some(reply) => reply,
+                None => return,
             },
-        }
-    }
-
-    fn cancel(&self, reason: CancelReason) {
-        match self {
-            Pending::Server(p) => {
-                p.cancel(reason);
-            }
-            Pending::Durable { token, .. } => {
-                token.cancel(reason);
-            }
+        };
+        if !write_reply(&mut conn.stream, shared, &reply) {
+            return;
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)] // wire fields arrive together
-fn handle_query(
-    shared: &Arc<ShardShared>,
-    stream: &TcpStream,
+/// A [`Msg::Query`]'s or [`Msg::StreamQuery`]'s common fields, bundled
+/// so the handler signatures stay readable.
+struct Req {
     id: u64,
     top_k: u32,
     deadline_ms: u32,
@@ -638,99 +410,121 @@ fn handle_query(
     slice_count: u32,
     query: Vec<u8>,
     trace: TraceCtx,
-    tenant: &str,
-) -> Option<Msg> {
-    if shared.draining.load(Ordering::Acquire) || shared.standby.load(Ordering::Acquire) {
-        return Some(Msg::Error {
-            id,
-            err: RemoteError::Draining,
-        });
-    }
-    // slice_count 0 = direct whole-slice query (tests, single-shard
-    // clients); anything else must match this shard's coordinates.
-    if slice_count != 0 && (slice_count != shared.shard_count || slice_index != shared.shard_index)
-    {
-        return Some(Msg::Error {
-            id,
-            err: RemoteError::WrongShard {
-                got: slice_index,
+    tenant: String,
+}
+
+impl Req {
+    /// The typed refusal for a query this shard must not run: draining
+    /// or standby, or addressed to another slice. `slice_count` 0 is a
+    /// direct whole-slice query (tests, single-shard clients).
+    fn refusal(&self, shared: &ShardShared) -> Option<Msg> {
+        let err = if shared.draining.load(Ordering::Acquire)
+            || shared.standby.load(Ordering::Acquire)
+        {
+            RemoteError::Draining
+        } else if self.slice_count != 0
+            && (self.slice_count != shared.shard_count || self.slice_index != shared.shard_index)
+        {
+            RemoteError::WrongShard {
+                got: self.slice_index,
                 want: shared.shard_index,
-            },
-        });
+            }
+        } else {
+            return None;
+        };
+        Some(Msg::Error { id: self.id, err })
     }
-    let _guard = InFlight::enter(&shared.in_flight);
-    // Adopt the trace context that crossed the wire: the shard-side
-    // span tree (this root, then the batch server's kernel spans)
-    // parents under the gateway's request span, stitching one
-    // distributed tree keyed by the shared trace id.
-    let _adopt = swsimd_obs::adopt(trace);
-    let mut span = swsimd_obs::span!("shard_query", "shard" => shared.shard_index, "id" => id);
-    let ctx = TraceCtx {
+
+    /// Absolute deadline from the wire budget (0 = none).
+    fn deadline(&self) -> Option<Instant> {
+        (self.deadline_ms > 0)
+            .then(|| Instant::now() + Duration::from_millis(u64::from(self.deadline_ms)))
+    }
+}
+
+/// The trace context for work under `span`: the span itself when
+/// tracing is live, else the caller's span.
+fn child_ctx(trace: TraceCtx, span: &swsimd_obs::Span) -> TraceCtx {
+    TraceCtx {
         trace_id: trace.trace_id,
         span_id: if span.id() != 0 {
             span.id()
         } else {
             trace.span_id
         },
-    };
-    let deadline =
-        (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
+    }
+}
 
-    let pending = if shared.journal_dir.is_some() {
-        durable_submit(shared, query, deadline, ctx)
-    } else {
-        match shared
-            .client
-            .submit_traced_for(tenant, query, top_k as usize, deadline, ctx)
-        {
-            Ok(p) => Pending::Server(p),
-            Err(e) => {
-                return Some(Msg::Error {
-                    id,
-                    err: RemoteError::Serve(e),
-                })
-            }
+/// Globalize slice-local hits and rank them.
+fn globalize(shared: &ShardShared, mut hits: Vec<Hit>, top_k: usize) -> Vec<Hit> {
+    for h in &mut hits {
+        h.db_index += shared.offset;
+    }
+    rank_hits(hits, top_k)
+}
+
+fn handle_query(conn: &mut ShardConn, shared: &Arc<ShardShared>, req: Req) -> Option<Msg> {
+    if let Some(refusal) = req.refusal(shared) {
+        return Some(refusal);
+    }
+    let _guard = shared.in_flight.enter();
+    // Adopt the trace context that crossed the wire: the shard-side
+    // span tree (this root, then the batch server's kernel spans)
+    // parents under the gateway's request span, stitching one
+    // distributed tree keyed by the shared trace id.
+    let _adopt = swsimd_obs::adopt(req.trace);
+    let mut span = swsimd_obs::span!("shard_query", "shard" => shared.shard_index, "id" => req.id);
+    let ctx = child_ctx(req.trace, &span);
+    let (id, top_k, trace_id) = (req.id, req.top_k as usize, req.trace.trace_id);
+    let deadline = req.deadline();
+    let token = match submit(
+        conn,
+        shared,
+        &req.tenant,
+        req.query,
+        top_k,
+        deadline,
+        ctx,
+        false,
+    ) {
+        Ok(token) => token,
+        Err(e) => {
+            return Some(Msg::Error {
+                id,
+                err: RemoteError::Serve(e),
+            })
         }
     };
 
     let result = loop {
-        if let Some(r) = pending.poll(POLL_STEP) {
-            break r;
-        }
-        if peer_gone(stream) {
-            // The real socket disconnect IS the cancellation signal.
-            pending.cancel(CancelReason::ClientDrop);
-            shared.cancelled.record(CancelReason::ClientDrop);
-            swsimd_obs::event!("net_client_drop", "id" => id);
-            return None;
-        }
-        if shared.stopping.load(Ordering::Acquire) {
-            pending.cancel(CancelReason::Shutdown);
-            shared.cancelled.record(CancelReason::Shutdown);
-            return Some(Msg::Error {
-                id,
-                err: RemoteError::Serve(ServeError::ShutDown),
-            });
+        match conn.recv() {
+            Event::Work(StreamEv::Done(result)) => break result,
+            Event::Work(StreamEv::Chunk(..)) => {}
+            Event::Closed if shared.stopping.load(Ordering::Acquire) => {
+                token.cancel(CancelReason::Shutdown);
+                shared.cancelled.record(CancelReason::Shutdown);
+                return Some(Msg::Error {
+                    id,
+                    err: RemoteError::Serve(ServeError::ShutDown),
+                });
+            }
+            // The real socket disconnect IS the cancellation signal. A
+            // frame before the reply breaks the request-response
+            // discipline: the client is treated as gone.
+            Event::Closed | Event::Frame(_) => {
+                token.cancel(CancelReason::ClientDrop);
+                shared.cancelled.record(CancelReason::ClientDrop);
+                swsimd_obs::event!("net_client_drop", "id" => id);
+                return None;
+            }
         }
     };
 
     Some(match result {
         Ok(outcome) => {
-            let QueryOutcome {
-                mut hits,
-                queue_ns,
-                compute_ns,
-                engine,
-                retries,
-                fidelity,
-            } = outcome;
-            // Slice-local → global indices; ranked within the slice.
-            for h in &mut hits {
-                h.db_index += shared.offset;
-            }
-            let hits = rank_hits(hits, top_k as usize);
-            span.record("engine", engine);
-            span.record("retries", retries as u64);
+            let hits = globalize(shared, outcome.hits, top_k);
+            span.record("engine", outcome.engine);
+            span.record("retries", outcome.retries as u64);
             // Per-shard timing summary rides back on the reply so the
             // gateway can stitch a complete stage breakdown without a
             // second round trip (rtt_ns is filled in by the gateway,
@@ -738,16 +532,16 @@ fn handle_query(
             let timing = ShardTiming {
                 shard: shared.shard_index,
                 root_span: span.id(),
-                engine: engine.to_string(),
+                engine: outcome.engine.to_string(),
                 rtt_ns: 0,
                 stages: vec![
                     StageTiming {
                         stage: Stage::Queue,
-                        ns: queue_ns,
+                        ns: outcome.queue_ns,
                     },
                     StageTiming {
                         stage: Stage::Kernel,
-                        ns: compute_ns,
+                        ns: outcome.compute_ns,
                     },
                 ],
             };
@@ -756,9 +550,9 @@ fn handle_query(
                 degraded: false,
                 missing_shards: Vec::new(),
                 hits,
-                trace_id: trace.trace_id,
+                trace_id,
                 timing: Some(timing),
-                fidelity,
+                fidelity: outcome.fidelity,
             }
         }
         Err(e) => {
@@ -773,120 +567,42 @@ fn handle_query(
     })
 }
 
-/// A [`Msg::StreamQuery`]'s fields, bundled so the handler signature
-/// stays readable.
-struct StreamReq {
-    id: u64,
-    top_k: u32,
-    deadline_ms: u32,
-    slice_index: u32,
-    slice_count: u32,
+/// Serve one streamed query on this connection, `credit` chunks ahead
+/// of the client's grants and skipping chunks at or below
+/// `resume_cursor`. Returns true when the connection may continue
+/// serving requests, false when it must close (peer gone, protocol
+/// violation, or an injected tear).
+fn handle_stream_query(
+    conn: &mut ShardConn,
+    shared: &Arc<ShardShared>,
+    req: Req,
     credit: u32,
-    cursor: u64,
-    query: Vec<u8>,
-    trace: TraceCtx,
-    tenant: String,
-}
-
-/// Worker → connection events for one stream. The worker sends every
-/// chunk before `Done`, and mpsc preserves per-sender order, so the
-/// connection thread has flushed all chunks once it sees `Done`.
-enum StreamEv {
-    /// `(cursor, globalized top-k hits)` for one journal chunk.
-    Chunk(u64, Vec<Hit>),
-    Done(Result<QueryOutcome, ServeError>),
-}
-
-/// Either compute path backing one stream, awaited in steps.
-enum StreamWaiter {
-    Durable {
-        rx: mpsc::Receiver<StreamEv>,
-        token: CancelToken,
-    },
-    Server(swsimd_runner::PendingQuery),
-}
-
-impl StreamWaiter {
-    fn cancel(&self, reason: CancelReason) {
-        match self {
-            StreamWaiter::Durable { token, .. } => {
-                token.cancel(reason);
-            }
-            StreamWaiter::Server(p) => {
-                p.cancel(reason);
-            }
-        }
+    resume_cursor: u64,
+) -> bool {
+    if let Some(refusal) = req.refusal(shared) {
+        return write_reply(&mut conn.stream, shared, &refusal);
     }
-}
-
-/// Serve one streamed query on this connection. Returns true when the
-/// connection may continue serving requests, false when it must close
-/// (peer gone, protocol violation, or an injected tear).
-fn handle_stream_query(stream: &mut TcpStream, shared: &Arc<ShardShared>, req: StreamReq) -> bool {
-    let StreamReq {
-        id,
-        top_k,
-        deadline_ms,
-        slice_index,
-        slice_count,
-        credit,
-        cursor: resume_cursor,
-        query,
-        trace,
-        tenant,
-    } = req;
-    if shared.draining.load(Ordering::Acquire) || shared.standby.load(Ordering::Acquire) {
-        return write_reply(
-            stream,
-            shared,
-            &Msg::Error {
-                id,
-                err: RemoteError::Draining,
-            },
-        );
-    }
-    if slice_count != 0 && (slice_count != shared.shard_count || slice_index != shared.shard_index)
-    {
-        return write_reply(
-            stream,
-            shared,
-            &Msg::Error {
-                id,
-                err: RemoteError::WrongShard {
-                    got: slice_index,
-                    want: shared.shard_index,
-                },
-            },
-        );
-    }
-    let _guard = InFlight::enter(&shared.in_flight);
-    let _adopt = swsimd_obs::adopt(trace);
+    let _guard = shared.in_flight.enter();
+    let _adopt = swsimd_obs::adopt(req.trace);
     let mut span = swsimd_obs::span!(
         "shard_stream",
         "shard" => shared.shard_index,
-        "id" => id,
+        "id" => req.id,
         "cursor" => resume_cursor
     );
-    let ctx = TraceCtx {
-        trace_id: trace.trace_id,
-        span_id: if span.id() != 0 {
-            span.id()
-        } else {
-            trace.span_id
-        },
-    };
+    let ctx = child_ctx(req.trace, &span);
     if resume_cursor > 0 {
         // A non-zero cursor is a reconnect continuing from durable
         // state — the stream-resume event the soak test asserts on.
         shared.stream.resumes.inc();
         swsimd_obs::event!("stream_resume", "shard" => shared.shard_index, "cursor" => resume_cursor);
     }
-    let deadline =
-        (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
+    let (id, top_k, trace_id) = (req.id, req.top_k as usize, req.trace.trace_id);
+    let deadline = req.deadline();
 
     // Cost accounting for Progress frames: exact per-chunk cell counts
     // from the same deterministic partition the journal uses.
-    let query_len = query.len() as u64;
+    let query_len = req.query.len() as u64;
     let cells_total = shared.slice_db.total_residues() as u64 * query_len;
     let chunk_cells: Vec<u64> = shared
         .slice_db
@@ -900,29 +616,21 @@ fn handle_stream_query(stream: &mut TcpStream, shared: &Arc<ShardShared>, req: S
         })
         .collect();
 
-    let (tx, rx) = mpsc::channel();
     let durable = shared.journal_dir.is_some();
-    let waiter = if durable {
-        let token = durable_stream_submit(shared, query, top_k as usize, deadline, ctx, tx);
-        StreamWaiter::Durable { rx, token }
-    } else {
-        // Without a journal there are no checkpoint boundaries to
-        // align to: stream degenerately as one chunk plus Fin.
-        match shared
-            .client
-            .submit_traced_for(&tenant, query, top_k as usize, deadline, ctx)
-        {
-            Ok(p) => StreamWaiter::Server(p),
-            Err(e) => {
-                return write_reply(
-                    stream,
-                    shared,
-                    &Msg::Error {
-                        id,
-                        err: RemoteError::Serve(e),
-                    },
-                );
-            }
+    let token = match submit(
+        conn,
+        shared,
+        &req.tenant,
+        req.query,
+        top_k,
+        deadline,
+        ctx,
+        true,
+    ) {
+        Ok(token) => token,
+        Err(e) => {
+            let err = RemoteError::Serve(e);
+            return write_reply(&mut conn.stream, shared, &Msg::Error { id, err });
         }
     };
 
@@ -931,97 +639,17 @@ fn handle_stream_query(stream: &mut TcpStream, shared: &Arc<ShardShared>, req: S
     let mut credit_left = u64::from(credit);
     let mut stall_counted = false;
     let mut cells_done: u64 = 0;
-    let mut last_write = Instant::now();
-
+    let mut next_beat = Instant::now() + STREAM_HEARTBEAT;
     let mut sent_chunks: u64 = 0;
-    let abandon = |reason: AbandonReason, cancel: Option<CancelReason>| {
-        if let Some(r) = cancel {
-            waiter.cancel(r);
-            shared.cancelled.record(r);
-        }
+    let abandon = |reason: AbandonReason, cancel: CancelReason| {
+        token.cancel(cancel);
+        shared.cancelled.record(cancel);
         shared.stream.abandon(reason);
         swsimd_obs::event!("stream_abandoned", "id" => id, "reason" => reason.as_str());
     };
 
     loop {
-        // 1. Absorb worker events (both paths park for POLL_STEP here).
-        match &waiter {
-            StreamWaiter::Durable { rx, .. } => match rx.recv_timeout(POLL_STEP) {
-                Ok(StreamEv::Chunk(c, hits)) => queued.push_back((c, hits)),
-                Ok(StreamEv::Done(r)) => done = Some(r),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    if done.is_none() {
-                        done = Some(Err(ServeError::WorkerPanicked));
-                    }
-                }
-            },
-            StreamWaiter::Server(p) => {
-                if done.is_none() {
-                    if let Some(r) = p.poll(POLL_STEP) {
-                        if let Ok(outcome) = &r {
-                            let mut hits = outcome.hits.clone();
-                            for h in &mut hits {
-                                h.db_index += shared.offset;
-                            }
-                            let hits = rank_hits(hits, top_k as usize);
-                            cells_done = cells_total;
-                            queued.push_back((1, hits));
-                        }
-                        done = Some(r);
-                    }
-                } else {
-                    std::thread::sleep(POLL_STEP);
-                }
-            }
-        }
-
-        // 2. Drain Credit frames the peer pushed (the only frames a
-        // stream client legally sends mid-stream).
-        let mut probe = [0u8; 1];
-        let _ = stream.set_nonblocking(true);
-        let ready = matches!(stream.peek(&mut probe), Ok(n) if n > 0);
-        let _ = stream.set_nonblocking(false);
-        if ready {
-            match read_msg(stream) {
-                Ok(Msg::Credit { id: cid, credits }) if cid == id => {
-                    credit_left += u64::from(credits);
-                    stall_counted = false;
-                }
-                Ok(_) | Err(_) => {
-                    // Protocol violation or torn frame mid-stream: the
-                    // connection state is unrecoverable.
-                    abandon(AbandonReason::Error, Some(CancelReason::ClientDrop));
-                    return false;
-                }
-            }
-        }
-
-        // 3. Liveness, shutdown, and deadline checks.
-        if peer_gone(stream) {
-            // The journal stays on disk: this stream is resumable.
-            abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
-            return false;
-        }
-        if shared.stopping.load(Ordering::Acquire) {
-            abandon(AbandonReason::Shutdown, Some(CancelReason::Shutdown));
-            let _ = write_reply(
-                stream,
-                shared,
-                &Msg::Error {
-                    id,
-                    err: RemoteError::Serve(ServeError::ShutDown),
-                },
-            );
-            return false;
-        }
-        if let Some(d) = deadline {
-            if Instant::now() > d && done.is_none() {
-                waiter.cancel(CancelReason::Deadline);
-            }
-        }
-
-        // 4. Deliver ready chunks while the credit window allows.
+        // 1. Deliver ready chunks while the credit window allows.
         while let Some((c, _)) = queued.front() {
             if *c <= resume_cursor {
                 // Already delivered before the interruption.
@@ -1036,17 +664,14 @@ fn handle_stream_query(stream: &mut TcpStream, shared: &Arc<ShardShared>, req: S
                 break;
             }
             let (c, hits) = queued.pop_front().expect("front checked");
-            if !write_reply(
-                stream,
-                shared,
-                &Msg::StreamChunk {
-                    id,
-                    shard: shared.shard_index,
-                    cursor: c,
-                    hits,
-                },
-            ) {
-                abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
+            let chunk = Msg::StreamChunk {
+                id,
+                shard: shared.shard_index,
+                cursor: c,
+                hits,
+            };
+            if !write_reply(&mut conn.stream, shared, &chunk) {
+                abandon(AbandonReason::ClientDrop, CancelReason::ClientDrop);
                 return false;
             }
             shared.stream.chunks.inc();
@@ -1055,146 +680,159 @@ fn handle_stream_query(stream: &mut TcpStream, shared: &Arc<ShardShared>, req: S
             if durable {
                 cells_done += chunk_cells.get((c - 1) as usize).copied().unwrap_or(0);
             }
-            last_write = Instant::now();
+            next_beat = Instant::now() + STREAM_HEARTBEAT;
         }
 
-        // 5. Heartbeat when nothing else proved liveness recently.
-        if last_write.elapsed() >= STREAM_HEARTBEAT {
-            if !write_reply(
-                stream,
-                shared,
-                &Msg::Progress {
-                    id,
-                    cells_done,
-                    cells_total,
-                },
-            ) {
-                abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
-                return false;
-            }
-            last_write = Instant::now();
-        }
-
-        // 6. Everything delivered and the worker is done: finish.
-        if queued.is_empty() && done.is_some() {
-            let result = done.take().expect("checked");
-            return match result {
-                Ok(outcome) => {
-                    let mut hits = outcome.hits;
-                    for h in &mut hits {
-                        h.db_index += shared.offset;
-                    }
-                    let hits = rank_hits(hits, top_k as usize);
-                    span.record("engine", outcome.engine);
-                    span.record("chunks", sent_chunks);
-                    write_reply(
-                        stream,
-                        shared,
-                        &Msg::Fin {
+        // 2. Everything delivered and the worker is done: finish.
+        if queued.is_empty() {
+            if let Some(result) = done.take() {
+                let last = match result {
+                    Ok(outcome) => {
+                        let hits = globalize(shared, outcome.hits, top_k);
+                        span.record("engine", outcome.engine);
+                        span.record("chunks", sent_chunks);
+                        Msg::Fin {
                             id,
                             digest: ranking_digest(&hits),
                             degraded: false,
                             missing_shards: Vec::new(),
-                            trace_id: trace.trace_id,
+                            trace_id,
                             fidelity: outcome.fidelity,
-                        },
-                    )
-                }
-                Err(e) => {
-                    if e == ServeError::DeadlineExceeded {
-                        shared.cancelled.record(CancelReason::Deadline);
+                        }
                     }
-                    shared.stream.abandon(AbandonReason::Error);
-                    write_reply(
-                        stream,
-                        shared,
-                        &Msg::Error {
+                    Err(e) => {
+                        if e == ServeError::DeadlineExceeded {
+                            shared.cancelled.record(CancelReason::Deadline);
+                        }
+                        shared.stream.abandon(AbandonReason::Error);
+                        Msg::Error {
                             id,
                             err: RemoteError::Serve(e),
-                        },
-                    )
-                }
+                        }
+                    }
+                };
+                return write_reply(&mut conn.stream, shared, &last);
+            }
+        }
+
+        // 3. Heartbeat when nothing else proved liveness recently.
+        if Instant::now() >= next_beat {
+            let beat = Msg::Progress {
+                id,
+                cells_done,
+                cells_total,
             };
+            if !write_reply(&mut conn.stream, shared, &beat) {
+                abandon(AbandonReason::ClientDrop, CancelReason::ClientDrop);
+                return false;
+            }
+            next_beat = Instant::now() + STREAM_HEARTBEAT;
+        }
+
+        // 4. Block for the next event — a chunk or the outcome, a
+        //    credit grant, the peer's hang-up — until the next
+        //    heartbeat is due.
+        match conn.recv_until(next_beat) {
+            Some(Event::Work(StreamEv::Chunk(c, hits))) => queued.push_back((c, hits)),
+            Some(Event::Work(StreamEv::Done(result))) => {
+                // Without a journal there are no checkpoint boundaries
+                // to align to: stream degenerately as one chunk + Fin.
+                if let (false, Ok(outcome)) = (durable, &result) {
+                    queued.push_back((1, globalize(shared, outcome.hits.clone(), top_k)));
+                    cells_done = cells_total;
+                }
+                done = Some(result);
+            }
+            // Credit grants are the only frames a stream client
+            // legally sends mid-stream.
+            Some(Event::Frame(Msg::Credit { id: cid, credits })) if cid == id => {
+                credit_left += u64::from(credits);
+                stall_counted = false;
+            }
+            // Protocol violation or torn frame mid-stream: the
+            // connection state is unrecoverable.
+            Some(Event::Frame(_)) => {
+                abandon(AbandonReason::Error, CancelReason::ClientDrop);
+                return false;
+            }
+            Some(Event::Closed) if shared.stopping.load(Ordering::Acquire) => {
+                abandon(AbandonReason::Shutdown, CancelReason::Shutdown);
+                let err = RemoteError::Serve(ServeError::ShutDown);
+                let _ = write_reply(&mut conn.stream, shared, &Msg::Error { id, err });
+                return false;
+            }
+            // The journal stays on disk: this stream is resumable.
+            Some(Event::Closed) => {
+                abandon(AbandonReason::ClientDrop, CancelReason::ClientDrop);
+                return false;
+            }
+            None => {}
         }
     }
 }
 
-/// Submit a streamed query on the durable path: the worker runs the
-/// observed checkpointed search (resuming an existing journal first)
-/// and forwards every checkpoint chunk — globalized and top-k ranked —
-/// over `tx` before the final outcome.
-fn durable_stream_submit(
+/// Start `query` on this shard's compute path; its outcome (and, with
+/// `stream` set on the durable path, every checkpoint chunk,
+/// globalized and top-k ranked) arrives on `conn` as work events.
+/// Returns the job's cancel token.
+///
+/// With a journal directory the query runs under
+/// [`checkpointed_search_observed`] on a worker thread, resuming an
+/// existing journal for the same query first; the journal file is
+/// deleted only after the result is computed, so any interruption
+/// leaves a resumable checkpoint. Otherwise it goes through the batch
+/// server.
+#[allow(clippy::too_many_arguments)] // query context travels together
+fn submit(
+    conn: &ShardConn,
     shared: &Arc<ShardShared>,
+    tenant: &str,
     query: Vec<u8>,
     top_k: usize,
     deadline: Option<Instant>,
     trace: TraceCtx,
-    tx: mpsc::Sender<StreamEv>,
-) -> CancelToken {
+    stream: bool,
+) -> Result<CancelToken, ServeError> {
+    let panicked = StreamEv::Done(Err(ServeError::WorkerPanicked));
+    if shared.journal_dir.is_none() {
+        let pending = shared
+            .client
+            .submit_traced_for(tenant, query, top_k, deadline, trace)?;
+        let token = pending.token().clone();
+        conn.spawn_work(move || StreamEv::Done(pending.wait()), panicked);
+        return Ok(token);
+    }
     let token = shared.shard_cancel.child_with_deadline(deadline);
-    let shared = Arc::clone(shared);
     let worker_token = token.clone();
-    std::thread::spawn(move || {
-        let _adopt = swsimd_obs::adopt(trace);
-        let started = Instant::now();
-        let chunk_tx = tx.clone();
-        let offset = shared.offset;
-        let result = durable_compute(&shared, &query, worker_token, &mut |chunk, hits| {
-            // Rank inside the observer so only `top_k` hits per chunk
-            // cross the channel: the full per-chunk hit list is
-            // journal state, not stream payload.
-            let mut hits = hits.to_vec();
-            for h in &mut hits {
-                h.db_index += offset;
-            }
-            let hits = rank_hits(hits, top_k);
-            let _ = chunk_tx.send(StreamEv::Chunk(chunk as u64 + 1, hits));
-        });
-        let compute_ns = started.elapsed().as_nanos() as u64;
-        let _ = tx.send(StreamEv::Done(result.map(|hits| QueryOutcome {
-            hits,
-            queue_ns: 0,
-            compute_ns,
-            engine: "pool",
-            retries: 0,
-            fidelity: Fidelity::Full,
-        })));
-    });
-    token
-}
-
-/// Submit on the durable (journaled) path: the query runs under
-/// [`checkpointed_search_observed`] on a worker thread; an existing
-/// journal for the same query is resumed first. The journal file is
-/// deleted only after the reply is computed, so any interruption
-/// leaves a resumable checkpoint.
-fn durable_submit(
-    shared: &Arc<ShardShared>,
-    query: Vec<u8>,
-    deadline: Option<Instant>,
-    trace: TraceCtx,
-) -> Pending {
-    let token = shared.shard_cancel.child_with_deadline(deadline);
-    let (tx, rx) = mpsc::channel();
+    let post_chunk = conn.work_tx();
     let shared = Arc::clone(shared);
-    let worker_token = token.clone();
-    std::thread::spawn(move || {
-        // Adopt on the worker thread: pool spans parent under the
-        // shard's request span even across this thread hop.
-        let _adopt = swsimd_obs::adopt(trace);
-        let started = Instant::now();
-        let result = durable_compute(&shared, &query, worker_token, &mut |_, _| {});
-        let compute_ns = started.elapsed().as_nanos() as u64;
-        let _ = tx.send(result.map(|hits| QueryOutcome {
-            hits,
-            queue_ns: 0,
-            compute_ns,
-            engine: "pool",
-            retries: 0,
-            fidelity: Fidelity::Full,
-        }));
-    });
-    Pending::Durable { rx, token }
+    conn.spawn_work(
+        move || {
+            // Adopt on the worker thread: pool spans parent under the
+            // shard's request span even across this thread hop.
+            let _adopt = swsimd_obs::adopt(trace);
+            let started = Instant::now();
+            let result = durable_compute(&shared, &query, worker_token, &mut |chunk, hits| {
+                // Rank inside the observer so only `top_k` hits per
+                // chunk cross the channel: the full per-chunk hit list
+                // is journal state, not stream payload.
+                if stream {
+                    let hits = globalize(&shared, hits.to_vec(), top_k);
+                    post_chunk(StreamEv::Chunk(chunk as u64 + 1, hits));
+                }
+            });
+            StreamEv::Done(result.map(|hits| QueryOutcome {
+                hits,
+                queue_ns: 0,
+                compute_ns: started.elapsed().as_nanos() as u64,
+                engine: "pool",
+                retries: 0,
+                fidelity: Fidelity::Full,
+            }))
+        },
+        panicked,
+    );
+    Ok(token)
 }
 
 fn durable_compute(

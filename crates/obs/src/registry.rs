@@ -3,9 +3,10 @@
 //!
 //! A *family* is one metric name (`swsimd_query_latency_seconds`)
 //! holding one series per label set (`scenario="scenario1"`). Families
-//! are created on first use and live for the registry's lifetime;
-//! handles returned to callers are `Arc`s, so the hot path records
-//! straight into atomics without touching the registry lock again.
+//! are created on first use and live until their owner retires them
+//! ([`Registry::remove_labelled`]); handles returned to callers are
+//! `Arc`s, so the hot path records straight into atomics without
+//! touching the registry lock again.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -188,6 +189,29 @@ impl Registry {
         )
     }
 
+    /// Drop every series carrying the label `key="value"` (e.g. one
+    /// retired server's `instance`), and any family left without
+    /// series. Outstanding handles keep working but are no longer
+    /// exported. Returns how many series were removed.
+    pub fn remove_labelled(&self, key: &str, value: &str) -> usize {
+        let mut families = self.families();
+        let mut removed = 0;
+        families.retain(|_, family| {
+            let before = family.series.len();
+            family
+                .series
+                .retain(|labels, _| !labels.iter().any(|(k, v)| k == key && v == value));
+            removed += before - family.series.len();
+            !family.series.is_empty()
+        });
+        removed
+    }
+
+    /// Total series across every family.
+    pub fn series_count(&self) -> usize {
+        self.families().values().map(|f| f.series.len()).sum()
+    }
+
     /// Render every family in Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
         expo::prometheus_text(&self.families())
@@ -230,6 +254,20 @@ mod tests {
         let b = r.gauge("depth", "", &[("b", "2"), ("a", "1")]);
         a.set(7);
         assert_eq!(b.get(), 7);
+    }
+
+    #[test]
+    fn remove_labelled_drops_only_matching_series() {
+        let r = Registry::new();
+        r.counter("hits", "", &[("instance", "0")]);
+        r.counter("hits", "", &[("instance", "1")]);
+        r.gauge("depth", "", &[("instance", "0"), ("tenant", "t")]);
+        assert_eq!(r.series_count(), 3);
+        assert_eq!(r.remove_labelled("instance", "0"), 2);
+        assert_eq!(r.series_count(), 1);
+        let text = r.prometheus_text();
+        assert!(!text.contains("depth"), "emptied family must go: {text}");
+        assert!(text.contains("instance=\"1\""), "{text}");
     }
 
     #[test]

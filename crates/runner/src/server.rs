@@ -2,11 +2,15 @@
 //!
 //! The paper: "in environments with a centralized server handling
 //! multiple queries, it may be more efficient to accumulate several
-//! queries before beginning the computation". This module implements
-//! that deployment: clients submit queries over a bounded channel; the
-//! server accumulates up to `batch_size` queries (or until `max_wait`
-//! expires), then processes the whole batch against the shared,
-//! pre-batched database, amortizing database traffic across queries.
+//! queries before beginning the computation". Accumulating pays off
+//! only when the batched queries share database passes. Here every job
+//! runs its own full search over the shared, pre-batched database, so
+//! holding a query back to wait for company buys nothing and costs its
+//! whole wait in latency. The worker therefore **dispatches on idle**:
+//! whenever it is free it takes the jobs already queued — in
+//! deficit-round-robin order, at most `batch_size` — and runs them at
+//! once. Under load batches fill from the backlog; an idle server
+//! starts a lone query the moment it arrives.
 //!
 //! ## Failure model
 //!
@@ -378,7 +382,7 @@ impl ServerObs {
             batches: counter("swsimd_server_batches_total", "Batches processed."),
             full_batches: counter(
                 "swsimd_server_full_batches_total",
-                "Batches that filled to batch_size before the wait expired.",
+                "Batches that took a full batch_size of queued jobs.",
             ),
             timeouts: counter(
                 "swsimd_server_timeouts_total",
@@ -622,10 +626,10 @@ impl ServerClient {
     }
 
     /// Submit an encoded query without blocking for the reply. The
-    /// returned [`PendingQuery`] is polled in steps, so a network
-    /// front end can interleave waiting with connection-liveness
-    /// checks and cancel the job (`CancelReason::ClientDrop`) the
-    /// moment the requesting socket disconnects.
+    /// returned [`PendingQuery`] keeps the job's cancel token in the
+    /// caller's hands, so a network front end can wait for the reply
+    /// on one thread and cancel the job (`CancelReason::ClientDrop`)
+    /// the moment the requesting socket disconnects.
     pub fn submit(
         &self,
         query: Vec<u8>,
@@ -842,10 +846,9 @@ impl ServerClient {
 /// Server configuration.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Queries accumulated before a batch is processed.
+    /// Most jobs one dispatch round takes from the queue. The worker
+    /// never waits for a batch to fill: it takes what is queued.
     pub batch_size: usize,
-    /// Maximum time the first query in a batch waits for company.
-    pub max_wait: Duration,
     /// Bound on queued jobs: `query` blocks (backpressure) and
     /// `try_query` sheds when this many jobs are already waiting.
     pub queue_depth: usize,
@@ -897,7 +900,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             batch_size: 8,
-            max_wait: Duration::from_millis(20),
             queue_depth: 1024,
             fault_plan: FaultPlan::default(),
             health_period: None,
@@ -1090,52 +1092,39 @@ impl BatchServer {
             // to its weight, not its arrival count.
             let mut lanes: Drr<Job> = Drr::new(cfg.qos.quantum);
             let mut pending: Vec<Job> = Vec::with_capacity(cfg.batch_size);
-            let mut shutting_down = false;
+            let mut open = true;
             let mut last_health = Instant::now();
 
-            while !shutting_down {
-                // Wait for work: anything already laned, else block on
-                // the channel for the first job of a batch.
-                if lanes.is_empty() {
+            loop {
+                // Idle: block until the first job (or the shutdown
+                // marker) arrives. Nothing here runs on a timer.
+                if open && lanes.is_empty() {
                     match rx.recv() {
                         Ok(Msg::Job(job)) => stash(&mut lanes, job),
-                        Ok(Msg::Shutdown) | Err(_) => break,
+                        Ok(Msg::Shutdown) | Err(_) => open = false,
                     }
                 }
-                // Sort everything already buffered into its lane so
-                // DRR sees the full picture before picking the batch.
-                loop {
-                    match rx.try_recv() {
-                        Ok(Msg::Job(job)) => stash(&mut lanes, job),
-                        Ok(Msg::Shutdown) => {
-                            shutting_down = true;
-                            break;
-                        }
-                        Err(_) => break,
+                // Sort everything already queued into its lane so DRR
+                // sees the full picture; after the shutdown marker this
+                // also drains jobs that raced with it.
+                while let Ok(msg) = rx.try_recv() {
+                    match msg {
+                        Msg::Job(job) => stash(&mut lanes, job),
+                        Msg::Shutdown => open = false,
                     }
                 }
-                // Fill the batch in DRR order; when the lanes run dry
-                // wait out the batching budget for company.
-                let deadline = Instant::now() + cfg.max_wait;
-                while pending.len() < cfg.batch_size.max(1) {
-                    if let Some(job) = ctx.pop_job(&mut lanes) {
-                        pending.push(job);
+                if lanes.is_empty() {
+                    if open {
                         continue;
                     }
-                    if shutting_down {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match rx.recv_timeout(deadline - now) {
-                        Ok(Msg::Job(job)) => stash(&mut lanes, job),
-                        Ok(Msg::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
-                            shutting_down = true;
-                            break;
-                        }
-                        Err(RecvTimeoutError::Timeout) => break,
+                    break;
+                }
+                // Dispatch on idle: take what is queued, never wait
+                // for company (see the module docs).
+                while pending.len() < cfg.batch_size.max(1) {
+                    match ctx.pop_job(&mut lanes) {
+                        Some(job) => pending.push(job),
+                        None => break,
                     }
                 }
                 ctx.process_batch(&mut pending);
@@ -1149,21 +1138,6 @@ impl BatchServer {
                     }
                 }
             }
-            // Drain jobs that raced with the shutdown marker — both
-            // the channel and whatever the lanes still hold.
-            while let Ok(Msg::Job(job)) = rx.try_recv() {
-                stash(&mut lanes, job);
-            }
-            while !lanes.is_empty() {
-                while pending.len() < cfg.batch_size.max(1) {
-                    match ctx.pop_job(&mut lanes) {
-                        Some(job) => pending.push(job),
-                        None => break,
-                    }
-                }
-                ctx.process_batch(&mut pending);
-            }
-            ctx.process_batch(&mut pending);
             // Release the watchdog only after the drain: jobs without
             // deadlines still complete, and wedged ones stay reapable.
             ctx.watch.stop.store(true, Release);
@@ -1311,6 +1285,10 @@ impl BatchServer {
         if let Some(watchdog) = self.watchdog.take() {
             let _ = watchdog.join();
         }
+        // Retire this instance's series (per-tenant families included)
+        // so a process that starts many servers does not grow its
+        // registry without bound.
+        swsimd_obs::global().remove_labelled("instance", &self.obs.instance);
     }
 }
 
@@ -1734,8 +1712,8 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
 }
 
 /// A query submitted with [`ServerClient::submit`]: the reply is
-/// awaited in bounded steps instead of one blocking call, and the
-/// job's cancel token stays in the caller's hands.
+/// awaited in bounded steps or one blocking wait, and the job's cancel
+/// token stays in the caller's hands.
 pub struct PendingQuery {
     reply_rx: Receiver<Reply>,
     token: CancelToken,
@@ -1762,18 +1740,41 @@ impl PendingQuery {
     /// engine attribution) so a network front end can report per-shard
     /// stage breakdowns upstream.
     pub fn poll(&self, step: Duration) -> Option<Result<QueryOutcome, ServeError>> {
-        let wait = match self.deadline {
+        self.wait_up_to(Some(step))
+    }
+
+    /// Block until the reply arrives or the submit deadline passes:
+    /// [`PendingQuery::poll`] without the steps.
+    pub fn wait(&self) -> Result<QueryOutcome, ServeError> {
+        loop {
+            if let Some(result) = self.wait_up_to(None) {
+                return result;
+            }
+        }
+    }
+
+    /// Wait for the reply, bounded by `step` (if any) and the submit
+    /// deadline (if any); `None` means neither produced an outcome yet.
+    fn wait_up_to(&self, step: Option<Duration>) -> Option<Result<QueryOutcome, ServeError>> {
+        let bound = match self.deadline {
             Some(d) => {
                 let left = d.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     self.token.cancel(CancelReason::Deadline);
                     return Some(Err(ServeError::DeadlineExceeded));
                 }
-                step.min(left)
+                Some(step.map_or(left, |s| s.min(left)))
             }
             None => step,
         };
-        match self.reply_rx.recv_timeout(wait) {
+        let got = match bound {
+            Some(wait) => self.reply_rx.recv_timeout(wait),
+            None => self
+                .reply_rx
+                .recv()
+                .map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match got {
             Ok(result) => Some(result),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => {
@@ -1819,6 +1820,19 @@ mod tests {
         Alphabet::protein().encode(&generate_exact(len, seed).seq)
     }
 
+    /// Block until the worker has taken every queued job (e.g. a plug
+    /// now held in a fault-plan delay).
+    fn wait_until_dequeued(server: &BatchServer) {
+        let t0 = Instant::now();
+        while server.queue_depth() > 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "plug never picked up"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn serves_queries_correctly() {
         let db = tiny_db();
@@ -1839,53 +1853,97 @@ mod tests {
     }
 
     #[test]
-    fn batches_accumulate_from_concurrent_clients() {
-        let db = tiny_db();
-        let server = BatchServer::start(
-            db,
-            ServerConfig {
-                batch_size: 4,
-                max_wait: Duration::from_millis(200),
-                ..Default::default()
-            },
-            || Aligner::builder().matrix(blosum62()),
-        );
-        let client = server.client();
-        std::thread::scope(|scope| {
-            for i in 0..8 {
-                let c = client.clone();
-                scope.spawn(move || {
-                    let hits = c.query(enc(25, i), 1).expect("server is up");
-                    assert_eq!(hits.len(), 1);
-                });
-            }
-        });
-        let stats = server.shutdown();
-        assert_eq!(stats.queries, 8);
-        assert!(
-            stats.batches <= 4,
-            "8 concurrent queries should batch: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn timeout_flushes_partial_batch() {
+    fn lone_query_on_idle_server_dispatches_immediately() {
         let db = tiny_db();
         let server = BatchServer::start(
             db,
             ServerConfig {
                 batch_size: 64,
-                max_wait: Duration::from_millis(10),
                 ..Default::default()
             },
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        // Would wait forever without the timeout.
-        let hits = client.query(enc(20, 3), 2).expect("server is up");
-        assert_eq!(hits.len(), 2);
+        // A batch of 64 never fills here: a fill window would make
+        // every lone query wait it out. Best of three, so a single
+        // scheduler hiccup on a loaded host cannot pose as a window.
+        let best_queue_ns = (0..3)
+            .map(|i| {
+                let out = client
+                    .submit(enc(20, 3 + i), 2, None)
+                    .expect("server is up")
+                    .wait()
+                    .expect("served");
+                assert_eq!(out.hits.len(), 2);
+                out.queue_ns
+            })
+            .min()
+            .expect("three queries");
+        assert!(
+            best_queue_ns < 5_000_000,
+            "a lone query waited {best_queue_ns} ns in the queue"
+        );
         let stats = server.shutdown();
+        assert_eq!(stats.queries, 3);
+        assert_eq!(stats.batches, 3, "each lone query is its own round");
         assert_eq!(stats.full_batches, 0);
+    }
+
+    #[test]
+    fn jobs_queued_behind_a_held_worker_drain_together_in_drr_order() {
+        let db = tiny_db();
+        // Equal-length queries cost the same; a quantum of exactly one
+        // job's cost makes DRR alternate lanes job by job.
+        let quantum = 20 * db.total_residues() as u64;
+        // Slot 0 of every round holds the worker; later slots are
+        // slowed just enough that start times order unambiguously.
+        let mut plan = FaultPlan::new().delay_at(0, Duration::from_millis(150));
+        for slot in 1..4 {
+            plan = plan.delay_at(slot, Duration::from_millis(40));
+        }
+        let server = BatchServer::start(
+            db,
+            ServerConfig {
+                batch_size: 8,
+                fault_plan: plan,
+                qos: QosConfig {
+                    quantum,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            || Aligner::builder().matrix(blosum62()),
+        );
+        let client = server.client();
+        // Round 1: a lone plug, held in its slot-0 delay.
+        let plug = client.submit(enc(20, 1), 1, None).expect("plug admitted");
+        wait_until_dequeued(&server);
+        // Queued while the worker is held: tenant a's jobs arrive
+        // before tenant b's.
+        let queued: Vec<_> = [("a", 2), ("a", 3), ("b", 4), ("b", 5)]
+            .into_iter()
+            .map(|(tenant, seed)| {
+                let at = Instant::now();
+                let pending = client
+                    .submit_traced_for(tenant, enc(20, seed), 1, None, TraceCtx::default())
+                    .expect("admitted");
+                (tenant, seed, at, pending)
+            })
+            .collect();
+        plug.wait().expect("plug served");
+        let mut started: Vec<_> = queued
+            .iter()
+            .map(|(tenant, seed, at, pending)| {
+                let out = pending.wait().expect("served");
+                (*at + Duration::from_nanos(out.queue_ns), *tenant, *seed)
+            })
+            .collect();
+        started.sort();
+        let order: Vec<_> = started.iter().map(|&(_, t, s)| (t, s)).collect();
+        assert_eq!(order, [("a", 2), ("b", 4), ("a", 3), ("b", 5)]);
+        let stats = server.shutdown();
+        assert_eq!(stats.queries, 5);
+        assert_eq!(stats.batches, 2, "the backlog drains in one round");
     }
 
     #[test]
@@ -2135,7 +2193,6 @@ mod tests {
             db,
             ServerConfig {
                 batch_size: 1,
-                max_wait: Duration::from_millis(1),
                 // Every job in slot 0 stalls well past the deadline.
                 fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(300)),
                 ..Default::default()
@@ -2162,50 +2219,30 @@ mod tests {
             db,
             ServerConfig {
                 batch_size: 1,
-                max_wait: Duration::from_millis(1),
                 queue_depth: 1,
-                // Keep the worker busy so the queue backs up.
+                // Hold the worker so the queue backs up.
                 fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(100)),
                 ..Default::default()
             },
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        // Background clients keep the worker and the 1-slot lane busy;
-        // they loop because a full lane sheds blocking queries too.
-        let stop = Arc::new(AtomicBool::new(false));
-        let bg: Vec<_> = (0..3)
-            .map(|i| {
-                let c = client.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    for n in 0..2000u64 {
-                        if stop.load(Relaxed) {
-                            break;
-                        }
-                        let _ = c.query(enc(15, i * 1000 + n), 1);
-                    }
-                })
-            })
-            .collect();
+        // Plug the worker, wait for it to pick the plug up, then fill
+        // the single lane slot: the lane is provably full for the
+        // plug's whole compute.
+        let plug = client.submit(enc(15, 1), 1, None).expect("plug admitted");
+        wait_until_dequeued(&server);
+        let filler = client.submit(enc(15, 2), 1, None).expect("filler admitted");
         // With a full lane, try_query must shed rather than block, and
         // the typed error must carry a usable backoff hint.
-        let mut shed = false;
-        for i in 0..50 {
-            match client.try_query(enc(15, 100 + i), 1) {
-                Err(ServeError::QueueFull { retry_after_ms }) => {
-                    assert!(retry_after_ms >= 1, "shed must carry a backoff hint");
-                    shed = true;
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => panic!("unexpected error {e:?}"),
+        match client.try_query(enc(15, 100), 1) {
+            Err(ServeError::QueueFull { retry_after_ms }) => {
+                assert!(retry_after_ms >= 1, "shed must carry a backoff hint");
             }
+            other => panic!("try_query never shed under sustained load: {other:?}"),
         }
-        stop.store(true, Relaxed);
-        assert!(shed, "try_query never shed under sustained load");
-        for h in bg {
-            h.join().expect("client thread");
+        for p in [plug, filler] {
+            p.wait().expect("queued job served");
         }
         let stats = server.shutdown();
         assert!(stats.shed >= 1, "{stats:?}");
@@ -2278,7 +2315,6 @@ mod tests {
             db,
             ServerConfig {
                 batch_size: 1,
-                max_wait: Duration::from_millis(1),
                 // Every slot-0 job wedges well past the stall timeout.
                 fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(300)),
                 stall_timeout: Some(Duration::from_millis(40)),
@@ -2315,7 +2351,6 @@ mod tests {
             db,
             ServerConfig {
                 batch_size: 1,
-                max_wait: Duration::from_millis(1),
                 fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(300)),
                 default_timeout: Some(Duration::from_millis(30)),
                 ..Default::default()
@@ -2407,7 +2442,6 @@ mod tests {
             db,
             ServerConfig {
                 batch_size: 1,
-                max_wait: Duration::from_millis(1),
                 fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(250)),
                 ..Default::default()
             },

@@ -2,8 +2,9 @@
 //!
 //! Spins up a `BatchServer` over a shared database, fires queries from
 //! several concurrent clients, and compares per-query latency and total
-//! throughput against one-at-a-time processing — demonstrating the
-//! paper's accumulate-then-compute recommendation.
+//! throughput against one-at-a-time processing. The server dispatches
+//! on idle: queries that pile up while it computes run together in the
+//! next round, and none waits for a batch to fill.
 //!
 //! Also exercises the fault-tolerant client surface: every call returns
 //! `Result<_, ServeError>`, `query_with_deadline` bounds tail latency,
@@ -49,7 +50,6 @@ fn main() {
         db.clone(),
         ServerConfig {
             batch_size: 8,
-            max_wait: Duration::from_millis(30),
             ..Default::default()
         },
         || Aligner::builder().matrix(blosum62()),

@@ -246,7 +246,6 @@ mod server_faults {
             database,
             ServerConfig {
                 batch_size: 1,
-                max_wait: Duration::from_millis(1),
                 fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(400)),
                 ..Default::default()
             },
@@ -269,7 +268,6 @@ mod server_faults {
             database,
             ServerConfig {
                 batch_size: 1,
-                max_wait: Duration::from_millis(1),
                 queue_depth: 1,
                 fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(120)),
                 ..Default::default()

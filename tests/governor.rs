@@ -43,7 +43,6 @@ fn hung_worker_is_reaped_and_query_still_answered_exactly() {
         db,
         ServerConfig {
             batch_size: 1,
-            max_wait: Duration::from_millis(1),
             // Wedge every slot-0 job far past the stall timeout.
             fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(400)),
             stall_timeout: Some(Duration::from_millis(50)),

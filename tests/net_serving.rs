@@ -3,8 +3,9 @@
 //! every robustness headline — breaker opening and probe re-admission,
 //! deterministic retry of injected network faults, hedging past a slow
 //! replica, client-drop cancellation over a real TCP disconnect,
-//! graceful drain, journal resume across a shard restart, and deadline
-//! propagation — all driven by [`FaultPlan`], not sleeps-and-hope.
+//! graceful drain, journal resume across a shard restart, deadline
+//! propagation, and back-to-back credit-windowed streams on one
+//! connection — all driven by [`FaultPlan`], not sleeps-and-hope.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -13,8 +14,8 @@ use std::time::{Duration, Instant};
 use swsimd::matrices::{blosum62, Alphabet};
 use swsimd::net::wire::{read_msg, write_msg, Msg};
 use swsimd::net::{
-    BreakerState, Gateway, GatewayConfig, GatewayMetrics, GatewayServer, NetClient, NetError,
-    RemoteError, RetryPolicy, ShardConfig, ShardServer,
+    ranking_digest, BreakerState, Gateway, GatewayConfig, GatewayMetrics, GatewayServer, NetClient,
+    NetError, RemoteError, RetryPolicy, ShardConfig, ShardServer, StreamEvent,
 };
 use swsimd::runner::{parallel_search, rank_hits, PoolConfig, ServeError, ServerConfig};
 use swsimd::seq::{generate_database, generate_exact, SynthConfig};
@@ -645,4 +646,38 @@ fn wrong_shard_coordinates_are_rejected_typed() {
         other => panic!("expected WrongShard, got {other:?}"),
     }
     assert!(shard.shutdown());
+}
+
+/// A client that grants one credit per chunk sends its last grant
+/// while the stream's `Fin` is already on the wire. The front must
+/// drop that stale grant rather than read it as the next request, so
+/// a second stream on the same connection is served.
+#[test]
+fn back_to_back_credit_windowed_streams_share_one_connection() {
+    let db = db(30, 431);
+    let s0 = start_shard(&db, 0, 2, FaultPlan::default());
+    let s1 = start_shard(&db, 1, 2, FaultPlan::default());
+    let gw = gateway_over(&[&s0, &s1], GatewayConfig::default());
+    let front = GatewayServer::start(gw, "127.0.0.1:0", Duration::from_secs(2)).expect("front");
+    let mut client =
+        NetClient::connect(&front.local_addr().to_string(), Duration::from_secs(10)).unwrap();
+    for seed in [432, 433] {
+        let q = enc(40, seed);
+        let want = reference_hits(&q, &db, 5);
+        let mut stream = client.stream_query(&q, 5, 0, 1).expect("open stream");
+        let fin = loop {
+            match stream.next().expect("stream event") {
+                StreamEvent::Chunk { .. } => stream.grant(1).expect("grant"),
+                StreamEvent::Progress { .. } => {}
+                StreamEvent::Fin(fin) => break fin,
+            }
+        };
+        assert!(!fin.degraded);
+        assert_eq!(stream.ranking(), want.as_slice());
+        assert_eq!(fin.digest, ranking_digest(&want));
+    }
+    drop(client);
+    assert!(front.shutdown());
+    assert!(s0.shutdown());
+    assert!(s1.shutdown());
 }

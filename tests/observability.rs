@@ -246,6 +246,10 @@ fn server_scrape_includes_query_latency() {
     use std::sync::Arc;
     use swsimd::runner::{BatchServer, ServerConfig};
 
+    // The server's worker emits spans into whatever sink is installed.
+    // Holding the (exclusive) recorder keeps them out of a concurrent
+    // span-tree test's recorder, where they would read as unbalanced.
+    let _exclusive = swsimd::obs::Recorder::install();
     let db = Arc::new(generate_database(&SynthConfig {
         n_seqs: 16,
         max_len: 90,

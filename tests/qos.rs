@@ -98,7 +98,6 @@ fn fair_share_protects_the_well_behaved_tenant_under_overload() {
         database.clone(),
         ServerConfig {
             batch_size: 1,
-            max_wait: Duration::from_millis(1),
             queue_depth: 64,
             // Every job's compute sleeps 60ms: the first job plugs the
             // worker while the burst below is enqueued, and the drain
@@ -211,7 +210,6 @@ fn token_bucket_rate_limits_with_typed_retry_hints() {
         database.clone(),
         ServerConfig {
             batch_size: 1,
-            max_wait: Duration::from_millis(1),
             qos,
             ..Default::default()
         },
@@ -264,7 +262,6 @@ fn brownout_degrades_stepwise_and_recovers_with_exact_scores() {
         database.clone(),
         ServerConfig {
             batch_size: 1,
-            max_wait: Duration::from_millis(1),
             queue_depth: 64,
             // Every job computes for 40ms, so a burst of queued jobs
             // observes queue delays far above the high watermark.
@@ -394,7 +391,6 @@ fn queue_depth_gauge_drains_to_zero_across_every_path() {
         database.clone(),
         ServerConfig {
             batch_size: 1,
-            max_wait: Duration::from_millis(1),
             queue_depth: 16,
             fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(50)),
             qos,

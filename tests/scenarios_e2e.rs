@@ -2,7 +2,6 @@
 //! the batch server, checked for result consistency (not speed).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use swsimd::matrices::{blosum62, Alphabet};
 use swsimd::runner::{
@@ -77,7 +76,6 @@ fn server_matches_direct_search_under_concurrency() {
         database.clone(),
         ServerConfig {
             batch_size: 4,
-            max_wait: Duration::from_millis(50),
             ..Default::default()
         },
         builder,

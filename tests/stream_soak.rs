@@ -51,8 +51,12 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_swsimd")
 }
 
-fn test_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("swsimd-stream-soak-{}", std::process::id()));
+/// A fresh scratch directory private to `test`: keyed by test name as
+/// well as PID, so sibling tests running in parallel never wipe each
+/// other's FASTA and journals.
+fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("swsimd-stream-soak-{}-{test}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -142,7 +146,7 @@ fn scrape_value(scrape: &str, family: &str) -> u64 {
 
 #[test]
 fn interrupted_stream_resumes_to_oracle_exact_ranking() {
-    let dir = test_dir();
+    let dir = test_dir("interrupted");
     let db: Database = generate_database(&SynthConfig {
         n_seqs: 24,
         seed: 1001,
@@ -387,7 +391,7 @@ fn interrupted_stream_resumes_to_oracle_exact_ranking() {
 /// must be refused with `BadResumeToken` before any shard work starts.
 #[test]
 fn resume_with_mismatched_query_is_refused() {
-    let dir = test_dir();
+    let dir = test_dir("mismatched");
     let db: Database = generate_database(&SynthConfig {
         n_seqs: 8,
         seed: 1003,
