@@ -1,9 +1,65 @@
 //! Regenerate every table/figure of the paper's evaluation section.
 
+use serde_json::Value;
 use swsimd_bench::{
     ablation_batching, ablation_threshold, fig06, fig07, fig08, fig09, fig10, fig11, fig12, fig13,
-    fig14, portability, segments, Scale,
+    fig14, portability, segments, write_record, FigureRecord, Scale,
 };
+
+/// One regenerable figure: the `--fig` key that selects it, the record
+/// it is written to under `results/`, its title, and its function.
+type Figure = (&'static str, &'static str, &'static str, fn(Scale) -> Value);
+
+const FIGURES: [Figure; 13] = [
+    ("6", "fig06", "AVX2 vs AVX-512 performance", fig06),
+    ("7", "fig07", "Affine vs linear gap penalty", fig07),
+    ("8", "fig08", "Traceback on vs off", fig08),
+    ("9", "fig09", "With vs without substitution matrix", fig09),
+    (
+        "10",
+        "fig10",
+        "Performance improvement after hyperparameter tuning",
+        fig10,
+    ),
+    (
+        "11",
+        "fig11",
+        "Thread scaling with frequency recalibration",
+        fig11,
+    ),
+    ("12", "fig12", "Top-down pipeline-slot analysis", fig12),
+    (
+        "13",
+        "fig13",
+        "Performance for different SW usage scenarios",
+        fig13,
+    ),
+    ("14", "fig14", "Ours vs Parasail scan/striped/diag", fig14),
+    (
+        "segments",
+        "seg_census",
+        "Short-segment cell fraction (§III-B)",
+        segments,
+    ),
+    (
+        "portability",
+        "portability",
+        "Kernel throughput across vector extensions",
+        portability,
+    ),
+    (
+        "ablations",
+        "ablation_threshold",
+        "Scalar-fallback threshold sweep (Fig 3 knob)",
+        ablation_threshold,
+    ),
+    (
+        "ablations",
+        "ablation_batching",
+        "Length-sorted vs unsorted batches (Fig 5 layout)",
+        ablation_batching,
+    ),
+];
 
 fn main() {
     // Surface tracer events (e.g. figure_record_write_failed) on
@@ -42,52 +98,31 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    if want("6") {
-        print_json("Fig 6  (AVX2 vs AVX-512)", &fig06(scale));
-    }
-    if want("7") {
-        print_json("Fig 7  (affine vs linear gaps)", &fig07(scale));
-    }
-    if want("8") {
-        print_json("Fig 8  (traceback on/off)", &fig08(scale));
-    }
-    if want("9") {
-        print_json(
-            "Fig 9  (substitution matrix on/off + bit widths)",
-            &fig09(scale),
-        );
-    }
-    if want("10") {
-        print_json("Fig 10 (GA hyperparameter tuning)", &fig10(scale));
-    }
-    if want("11") {
-        print_json("Fig 11 (thread scaling)", &fig11(scale));
-    }
-    if want("12") {
-        print_json("Fig 12 (top-down pipeline analysis)", &fig12(scale));
-    }
-    if want("13") {
-        print_json("Fig 13 (usage scenarios)", &fig13(scale));
-    }
-    if want("14") {
-        print_json("Fig 14 (vs Parasail baselines)", &fig14(scale));
-    }
-    if want("segments") {
-        print_json("§III-B (segment census)", &segments(scale));
-    }
-    if want("portability") {
-        print_json("Portability (contribution vi)", &portability(scale));
-    }
-    if want("ablations") {
-        print_json("Ablation (scalar threshold)", &ablation_threshold(scale));
-        print_json("Ablation (batch sorting)", &ablation_batching(scale));
+    for (key, figure, title, run) in FIGURES {
+        if !want(key) {
+            continue;
+        }
+        let series = run(scale);
+        println!("== {title} ==");
+        println!("{}\n", serde_json::to_string_pretty(&series).unwrap());
+        let rec = FigureRecord {
+            figure,
+            title,
+            scale: format!("{scale:?}"),
+            series,
+        };
+        match write_record(&rec) {
+            Ok(path) => println!("[{figure}] {title} -> {}", path.display()),
+            Err(e) => {
+                swsimd_obs::event!(
+                    "figure_record_write_failed",
+                    "figure" => figure,
+                    "error" => e.to_string(),
+                );
+            }
+        }
     }
     println!("\nrecords written under results/");
-}
-
-fn print_json(title: &str, v: &serde_json::Value) {
-    println!("== {title} ==");
-    println!("{}\n", serde_json::to_string_pretty(v).unwrap());
 }
 
 /// Forwards only failure-ish instant events to stderr, so a figure

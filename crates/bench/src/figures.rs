@@ -1,7 +1,8 @@
 //! Figure regeneration: one function per figure of the paper's
 //! evaluation (§IV). Each measures on this machine, projects across the
-//! modeled testbed where the paper plots multiple architectures, prints
-//! a table, and writes `results/figNN.json` (see EXPERIMENTS.md for the
+//! modeled testbed where the paper plots multiple architectures, and
+//! returns the figure's data series; the `figures` binary writes them
+//! to `results/figNN.json` (see EXPERIMENTS.md for the
 //! paper-vs-measured comparison).
 
 use serde_json::{json, Value};
@@ -25,7 +26,7 @@ use swsimd_tune::{
     KernelKnobs, QueryBucket,
 };
 
-use crate::timing::{gcups, time_per_call, write_record, FigureRecord};
+use crate::timing::{gcups, time_per_call};
 use crate::workload::{Scale, Workload};
 
 fn aff() -> GapModel {
@@ -112,9 +113,7 @@ pub fn fig06(scale: Scale) -> Value {
         }));
     }
 
-    let series = json!({ "measured_host": measured, "projected": projected });
-    finish("fig06", "AVX2 vs AVX-512 performance", scale, &series);
-    series
+    json!({ "measured_host": measured, "projected": projected })
 }
 
 // ---------------------------------------------------------------------
@@ -167,9 +166,7 @@ pub fn fig07(scale: Scale) -> Value {
             "affine_over_linear_same_path": affine / linear_same_path.max(1e-12),
         }));
     }
-    let series = json!({ "measured_host": rows });
-    finish("fig07", "Affine vs linear gap penalty", scale, &series);
-    series
+    json!({ "measured_host": rows })
 }
 
 // ---------------------------------------------------------------------
@@ -205,9 +202,7 @@ pub fn fig08(scale: Scale) -> Value {
             "overhead_pct": (no_tb / with_tb.max(1e-12) - 1.0) * 100.0,
         }));
     }
-    let series = json!({ "measured_host": rows });
-    finish("fig08", "Traceback on vs off", scale, &series);
-    series
+    json!({ "measured_host": rows })
 }
 
 // ---------------------------------------------------------------------
@@ -289,14 +284,7 @@ pub fn fig09(scale: Scale) -> Value {
             },
         }));
     }
-    let series = json!({ "measured_host": rows });
-    finish(
-        "fig09",
-        "With vs without substitution matrix",
-        scale,
-        &series,
-    );
-    series
+    json!({ "measured_host": rows })
 }
 
 // ---------------------------------------------------------------------
@@ -378,18 +366,11 @@ pub fn fig10(scale: Scale) -> Value {
         })
         .collect();
 
-    let series = json!({
+    json!({
         "modeled_gcc_flags": per_arch,
         "real_kernel_knobs": real,
         "phase_ordering_future_work": phase,
-    });
-    finish(
-        "fig10",
-        "Performance improvement after hyperparameter tuning",
-        scale,
-        &series,
-    );
-    series
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -449,18 +430,11 @@ pub fn fig11(scale: Scale) -> Value {
     // Measured effective frequency (the paper's microbenchmark).
     let ghz = swsimd_perf::measure_effective_ghz(60);
 
-    let series = json!({
+    json!({
         "modeled": per_arch,
         "measured_host": { "available_parallelism": host_parallelism, "points": host,
                             "effective_ghz": ghz },
-    });
-    finish(
-        "fig11",
-        "Thread scaling with frequency recalibration",
-        scale,
-        &series,
-    );
-    series
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -548,14 +522,12 @@ pub fn fig12(scale: Scale) -> Value {
         })
         .collect();
 
-    let series = json!({
+    json!({
         "backend_split": split,
         "slots_vs_threads": slots_vs_threads,
         "per_query": per_query,
         "roofline": roofline,
-    });
-    finish("fig12", "Top-down pipeline-slot analysis", scale, &series);
-    series
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -635,19 +607,12 @@ pub fn fig13(scale: Scale) -> Value {
         .collect();
     let s3 = scenario3(&queries3, &small_db, builder);
 
-    let series = json!({
+    json!({
         "scenario1_per_query": { "gcups": s1_gcups, "queries": batch.len() },
         "scenario2_query_batch": { "gcups": s2_gcups, "queries": batch.len() },
         "scenario3_small_sets": { "gcups": s3.throughput.gcups(), "alignments": s3.alignments },
         "batch_over_single_ratio": s2_gcups / s1_gcups.max(1e-12),
-    });
-    finish(
-        "fig13",
-        "Performance for different SW usage scenarios",
-        scale,
-        &series,
-    );
-    series
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -765,7 +730,7 @@ pub fn fig14(scale: Scale) -> Value {
         sums.3 += 1;
     }
     let n = sums.3.max(1) as f64;
-    let series = json!({
+    json!({
         "measured_host": rows,
         "mean_speedups": {
             "vs_striped": sums.0 / n,
@@ -773,14 +738,7 @@ pub fn fig14(scale: Scale) -> Value {
             "vs_diag": sums.2 / n,
             "paper_reported": { "vs_striped": 1.5, "vs_scan": 1.9, "vs_diag": 3.9 },
         },
-    });
-    finish(
-        "fig14",
-        "Ours vs Parasail scan/striped/diag",
-        scale,
-        &series,
-    );
-    series
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -811,14 +769,7 @@ pub fn segments(scale: Scale) -> Value {
         }
         rows.push(json!({ "query": label, "short_cell_fraction": per_threshold }));
     }
-    let series = json!({ "db_median_len": stats.median, "rows": rows });
-    finish(
-        "seg_census",
-        "Short-segment cell fraction (§III-B)",
-        scale,
-        &series,
-    );
-    series
+    json!({ "db_median_len": stats.median, "rows": rows })
 }
 
 // ---------------------------------------------------------------------
@@ -866,14 +817,7 @@ pub fn portability(scale: Scale) -> Value {
             "batch_i8_gcups": batch8,
         }));
     }
-    let series = json!({ "query": qlabel, "measured_host": rows });
-    finish(
-        "portability",
-        "Kernel throughput across vector extensions",
-        scale,
-        &series,
-    );
-    series
+    json!({ "query": qlabel, "measured_host": rows })
 }
 
 // ---------------------------------------------------------------------
@@ -920,14 +864,7 @@ pub fn ablation_threshold(scale: Scale) -> Value {
         }
         rows.push(json!({ "query": label, "sweep": sweep }));
     }
-    let series = json!({ "measured_host": rows });
-    finish(
-        "ablation_threshold",
-        "Scalar-fallback threshold sweep (Fig 3 knob)",
-        scale,
-        &series,
-    );
-    series
+    json!({ "measured_host": rows })
 }
 
 /// Ablation 2: batch construction policy — length-sorted vs unsorted
@@ -953,33 +890,7 @@ pub fn ablation_batching(scale: Scale) -> Value {
             "gcups": gcups(q.len() as u64 * w.db.total_residues() as u64, secs),
         }));
     }
-    let series = json!({ "measured_host": rows });
-    finish(
-        "ablation_batching",
-        "Length-sorted vs unsorted batches (Fig 5 layout)",
-        scale,
-        &series,
-    );
-    series
-}
-
-fn finish(fig: &'static str, title: &'static str, scale: Scale, series: &Value) {
-    let rec = FigureRecord {
-        figure: fig,
-        title,
-        scale: format!("{scale:?}"),
-        series: series.clone(),
-    };
-    match write_record(&rec) {
-        Ok(path) => println!("[{fig}] {title} -> {}", path.display()),
-        Err(e) => {
-            swsimd_obs::event!(
-                "figure_record_write_failed",
-                "figure" => fig,
-                "error" => e.to_string(),
-            );
-        }
-    }
+    json!({ "measured_host": rows })
 }
 
 #[cfg(test)]

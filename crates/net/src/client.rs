@@ -478,6 +478,7 @@ impl StreamHandle<'_> {
                     missing_shards,
                     trace_id,
                     fidelity,
+                    ..
                 } if id == self.id => {
                     self.finished = true;
                     if trace_id != 0 {

@@ -21,7 +21,7 @@ use swsimd_obs::trace::TraceCtx;
 use swsimd_seq::integrity::crc32;
 
 use crate::conn::{observability_reply, Acceptor, Conn, Event, InFlight, STREAM_HEARTBEAT};
-use crate::gateway::{Gateway, GatewayResponse, StreamItem};
+use crate::gateway::{Gateway, StreamItem};
 use crate::metrics::{AbandonReason, NetCancelled, StreamMetrics};
 use crate::wire::{ranking_digest, write_msg, Msg, RemoteError};
 
@@ -43,8 +43,9 @@ struct FrontShared {
     idle_timeout: Duration,
 }
 
-/// A front-door connection: its work is a one-shot scatter-gather.
-type FrontConn = Conn<Result<GatewayResponse, RemoteError>>;
+/// A front-door connection. Its queries run on gateway streams, so no
+/// work reports into its inbox.
+type FrontConn = Conn<()>;
 
 /// A running gateway front door.
 pub struct GatewayServer {
@@ -170,19 +171,22 @@ fn serve_conn(stream: TcpStream, shared: &Arc<FrontShared>) {
                 trace,
                 tenant,
                 ..
-            } => match handle_query(
-                shared,
-                &mut conn,
-                id,
-                top_k,
-                deadline_ms,
-                query,
-                trace,
-                tenant,
-            ) {
-                Some(reply) => reply,
-                None => return,
-            },
+            } => {
+                let req = QueryReq {
+                    id,
+                    top_k,
+                    deadline_ms,
+                    credit: None,
+                    query,
+                    trace,
+                    tenant,
+                    filter: HashMap::new(),
+                };
+                if !handle_stream(shared, &mut conn, req) {
+                    return;
+                }
+                continue;
+            }
             Msg::StreamQuery {
                 id,
                 top_k,
@@ -193,11 +197,11 @@ fn serve_conn(stream: TcpStream, shared: &Arc<FrontShared>) {
                 tenant,
                 ..
             } => {
-                let req = StreamReq {
+                let req = QueryReq {
                     id,
                     top_k,
                     deadline_ms,
-                    credit,
+                    credit: Some(credit),
                     query,
                     trace,
                     tenant,
@@ -233,7 +237,7 @@ fn serve_conn(stream: TcpStream, shared: &Arc<FrontShared>) {
                         "trace_id" => token.trace_id,
                         "slices" => token.cursors.len()
                     );
-                    let req = StreamReq {
+                    let req = QueryReq {
                         id,
                         // The resumed merge must run at the original
                         // depth or the Fin digest would describe a
@@ -241,7 +245,7 @@ fn serve_conn(stream: TcpStream, shared: &Arc<FrontShared>) {
                         // assembled.
                         top_k: token.top_k,
                         deadline_ms,
-                        credit,
+                        credit: Some(credit),
                         query,
                         trace,
                         tenant,
@@ -268,13 +272,15 @@ fn serve_conn(stream: TcpStream, shared: &Arc<FrontShared>) {
     }
 }
 
-/// One client stream request (fresh or resumed) as the front door
-/// sees it.
-struct StreamReq {
+/// One client query (one-shot, or a fresh or resumed stream) as the
+/// front door sees it.
+struct QueryReq {
     id: u64,
     top_k: u32,
     deadline_ms: u32,
-    credit: u32,
+    /// The stream's initial credit window; `None` for a plain
+    /// [`Msg::Query`], answered with one `Hits` frame.
+    credit: Option<u32>,
     query: Vec<u8>,
     trace: TraceCtx,
     tenant: String,
@@ -284,10 +290,15 @@ struct StreamReq {
     filter: HashMap<u32, u64>,
 }
 
-/// Serve one streaming query on `conn`. Returns false when the
-/// connection should close (client gone or protocol violation); true
-/// keeps it open for the next request.
-fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: StreamReq) -> bool {
+/// Serve one query on `conn`: a stream relays chunks as its client's
+/// credit allows and heartbeats while none go out; a one-shot query is
+/// the same run with unbounded credit, answered with one `Hits` frame
+/// and no heartbeats. Either way the connection waits at most one
+/// heartbeat between checks for its client hanging up, and a hang-up
+/// drops the gateway stream, whose slice readers then hang up on their
+/// shards. Returns false when the connection should close (client gone
+/// or protocol violation); true keeps it open for the next request.
+fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: QueryReq) -> bool {
     let id = req.id;
     if shared.draining.load(Ordering::Acquire) {
         let err = RemoteError::Draining;
@@ -299,7 +310,7 @@ fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: StreamReq
     // resume replays cheap durable journal state — so the final merge
     // and Fin digest always cover the whole ranking; `delivered`
     // (seeded from the resume token) only gates what is re-sent.
-    let mut gs = match shared.gateway.stream_query_traced_for(
+    let mut gs = match shared.gateway.open(
         &req.tenant,
         &req.query,
         req.top_k as usize,
@@ -310,15 +321,18 @@ fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: StreamReq
         Ok(gs) => gs,
         Err(err) => return write_msg(&mut conn.stream, &Msg::Error { id, err }).is_ok(),
     };
+    let streaming = req.credit.is_some();
     let mut delivered = req.filter;
-    let mut client_credit = req.credit;
+    let mut client_credit = req.credit.unwrap_or(u32::MAX);
     let mut stall_counted = false;
     let mut next_beat = Instant::now() + STREAM_HEARTBEAT;
     let mut held: Option<(u32, u64, Vec<Hit>)> = None;
     let abandon = |reason: AbandonReason| {
-        shared.stream.abandon(reason);
+        if streaming {
+            shared.stream.abandon(reason);
+        }
         swsimd_obs::event!(
-            "stream_abandoned",
+            "query_abandoned",
             "id" => id,
             "at" => "gateway",
             "reason" => reason.as_str()
@@ -345,18 +359,31 @@ fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: StreamReq
                     held = Some((slice, cursor, hits));
                 }
                 Some(StreamItem::Fin(result)) => {
-                    let fin = match result {
-                        Ok(resp) => Msg::Fin {
+                    let last = match result {
+                        Ok(resp) if streaming => Msg::Fin {
                             id,
                             digest: ranking_digest(&resp.hits),
                             degraded: resp.degraded,
                             missing_shards: resp.missing_shards,
                             trace_id: resp.trace_id,
+                            timing: None,
+                            fidelity: resp.fidelity,
+                        },
+                        Ok(resp) => Msg::Hits {
+                            id,
+                            degraded: resp.degraded,
+                            missing_shards: resp.missing_shards,
+                            hits: resp.hits,
+                            // Hand the trace id back so the client can
+                            // pull this request's flight record with
+                            // `swsimd trace <id>`.
+                            trace_id: resp.trace_id,
+                            timing: None,
                             fidelity: resp.fidelity,
                         },
                         Err(err) => Msg::Error { id, err },
                     };
-                    return write_msg(&mut conn.stream, &fin).is_ok();
+                    return write_msg(&mut conn.stream, &last).is_ok();
                 }
                 Some(StreamItem::Chunk { .. }) | None => {}
             }
@@ -369,10 +396,11 @@ fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: StreamReq
             conn.recv_until(next_beat)
         };
         // 2. Absorb client events: credit grants are the only frames
-        //    legal mid-stream.
+        //    legal mid-stream, and none are legal before a one-shot
+        //    reply.
         while let Some(ev) = event {
             match ev {
-                Event::Frame(Msg::Credit { id: cid, credits }) if cid == id => {
+                Event::Frame(Msg::Credit { id: cid, credits }) if streaming && cid == id => {
                     client_credit = client_credit.saturating_add(credits);
                     stall_counted = false;
                 }
@@ -392,7 +420,7 @@ fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: StreamReq
                     abandon(AbandonReason::Error);
                     return false;
                 }
-                Event::Work(_) => {}
+                Event::Work(()) => {}
             }
             event = conn.try_recv();
         }
@@ -416,83 +444,23 @@ fn handle_stream(shared: &Arc<FrontShared>, conn: &mut FrontConn, req: StreamReq
                 next_beat = Instant::now() + STREAM_HEARTBEAT;
             }
         }
-        // 4. Heartbeat: prove liveness (and carry cost accounting)
-        //    whenever no chunk went out recently.
+        // 4. Heartbeat: prove a stream's liveness (and carry cost
+        //    accounting) whenever no chunk went out recently.
         if Instant::now() >= next_beat {
-            let (cells_done, cells_total) = gs.progress();
-            let beat = Msg::Progress {
-                id,
-                cells_done,
-                cells_total,
-            };
-            if write_msg(&mut conn.stream, &beat).is_err() {
-                shared.cancelled.record(CancelReason::ClientDrop);
-                abandon(AbandonReason::ClientDrop);
-                return false;
+            if streaming {
+                let (cells_done, cells_total) = gs.progress();
+                let beat = Msg::Progress {
+                    id,
+                    cells_done,
+                    cells_total,
+                };
+                if write_msg(&mut conn.stream, &beat).is_err() {
+                    shared.cancelled.record(CancelReason::ClientDrop);
+                    abandon(AbandonReason::ClientDrop);
+                    return false;
+                }
             }
             next_beat = Instant::now() + STREAM_HEARTBEAT;
         }
     }
-}
-
-/// Run the scatter-gather on a worker thread while this connection
-/// thread waits for it or for the client to hang up; `None` means the
-/// client went away and the connection should close without a reply.
-#[allow(clippy::too_many_arguments)] // wire fields arrive together
-fn handle_query(
-    shared: &Arc<FrontShared>,
-    conn: &mut FrontConn,
-    id: u64,
-    top_k: u32,
-    deadline_ms: u32,
-    query: Vec<u8>,
-    trace: TraceCtx,
-    tenant: String,
-) -> Option<Msg> {
-    if shared.draining.load(Ordering::Acquire) {
-        return Some(Msg::Error {
-            id,
-            err: RemoteError::Draining,
-        });
-    }
-    let _guard = shared.in_flight.enter();
-    let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-    let gw = shared.gateway.clone();
-    conn.spawn_work(
-        move || gw.query_traced_for(&tenant, &query, top_k as usize, deadline, trace),
-        Err(RemoteError::Unavailable),
-    );
-    let result = match conn.recv() {
-        Event::Work(result) => result,
-        Event::Closed if shared.stopping.load(Ordering::Acquire) => {
-            shared.cancelled.record(CancelReason::Shutdown);
-            return Some(Msg::Error {
-                id,
-                err: RemoteError::Serve(swsimd_runner::ServeError::ShutDown),
-            });
-        }
-        // Stop waiting; shard-side attempts notice the gateway hang-ups
-        // and cancel their own jobs. A frame before the reply breaks
-        // the request-response discipline: the client is treated as
-        // gone.
-        Event::Closed | Event::Frame(_) => {
-            shared.cancelled.record(CancelReason::ClientDrop);
-            swsimd_obs::event!("net_client_drop", "id" => id, "at" => "gateway");
-            return None;
-        }
-    };
-    Some(match result {
-        Ok(resp) => Msg::Hits {
-            id,
-            degraded: resp.degraded,
-            missing_shards: resp.missing_shards,
-            hits: resp.hits,
-            // Hand the trace id back so the client can pull this
-            // request's flight record with `swsimd trace <id>`.
-            trace_id: resp.trace_id,
-            timing: None,
-            fidelity: resp.fidelity,
-        },
-        Err(err) => Msg::Error { id, err },
-    })
 }

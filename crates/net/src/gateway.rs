@@ -17,10 +17,16 @@
 //!   breaker (`swsimd_shard_down_total`, `swsimd_shard_up` → 0) and
 //!   the replica stops receiving traffic until consecutive health
 //!   probes re-admit it.
-//! - **Hedging.** When a group has a spare replica, a duplicate
-//!   request launches after the observed p99 of the primary's
-//!   round-trips (never below the configured floor); first reply
-//!   wins (`swsimd_hedged_requests_total`).
+//! - **Hedging.** When a group has a spare replica and the primary
+//!   has delivered nothing (no chunk, no `Fin`) after the observed p99
+//!   of its round-trips (never below the configured floor), the same
+//!   conversation opens on the sibling; the first replica to deliver
+//!   carries the slice and the other is hung up on
+//!   (`swsimd_hedged_requests_total`).
+//! - **One engine.** Every query is a [`Msg::StreamQuery`]
+//!   conversation per slice. A one-shot query is a stream with
+//!   unbounded credit whose chunks are folded but not forwarded; its
+//!   only item is the final merged ranking.
 //! - **Graceful degradation.** A group that exhausts its budget is
 //!   reported in `missing_shards` and the response is marked
 //!   `degraded` (`swsimd_degraded_responses_total`) instead of
@@ -35,7 +41,7 @@
 //!   [`Fidelity`] reductions merge conservatively into the response.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -43,6 +49,7 @@ use std::time::{Duration, Instant};
 use swsimd_core::Hit;
 use swsimd_obs::flight::{AuditRecord, ShardTiming, Stage, StageTiming};
 use swsimd_obs::trace::TraceCtx;
+use swsimd_obs::Gauge;
 use swsimd_runner::{
     rank_hits, tenant_label, FaultPlan, Fidelity, RateConfig, ServeError, TokenBucket,
 };
@@ -200,40 +207,6 @@ pub struct Gateway {
     inner: Arc<GatewayInner>,
 }
 
-/// How one attempt against one replica ended.
-enum Attempt {
-    /// Hits plus the shard's timing summary (when the peer sent one;
-    /// `rtt_ns` is filled gateway-side by the attempt thread) and the
-    /// fidelity the shard served at.
-    Ok(Vec<Hit>, Option<ShardTiming>, Fidelity),
-    /// Retrying another replica (or the same one later) may help; an
-    /// overloaded shard attaches its `retry_after_ms` backoff hint.
-    Retryable(Option<u64>),
-    /// The replica announced it is draining (SIGTERM'd or a passive
-    /// standby): force its breaker open so no further attempts or
-    /// hedges burn budget discovering the same thing, then retry the
-    /// siblings.
-    Draining,
-    /// Retrying cannot change the outcome; fail the query.
-    Fatal(RemoteError),
-}
-
-/// How one shard group ended.
-enum GroupOutcome {
-    Ok(Vec<Hit>, Option<ShardTiming>, Fidelity),
-    /// Budget exhausted or no replica available: degrade.
-    Missing,
-    Fatal(RemoteError),
-}
-
-/// Per-query bookkeeping shared by the scatter threads, feeding the
-/// request's flight-recorder audit record.
-#[derive(Default)]
-struct QueryFlight {
-    retries: AtomicU32,
-    hedges: AtomicU32,
-}
-
 impl Gateway {
     /// Build a gateway over `cfg.shards`. No connections are opened
     /// until the first query or probe.
@@ -337,173 +310,8 @@ impl Gateway {
         deadline: Option<Duration>,
         client: TraceCtx,
     ) -> Result<GatewayResponse, RemoteError> {
-        let inner = &self.inner;
-        inner.metrics.requests.inc();
-        let t0 = Instant::now();
-
-        let _inflight = edge_admit(inner, tenant, query.len() as u64)?;
-        // One trace id for the whole distributed request.
-        let trace_id = if client.is_traced() {
-            client.trace_id
-        } else {
-            swsimd_obs::mint_id()
-        };
-        let _adopt = swsimd_obs::adopt(TraceCtx {
-            trace_id,
-            span_id: client.span_id,
-        });
-        let mut span = swsimd_obs::span!("gateway_request", "shards" => inner.groups.len());
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let ctx = TraceCtx {
-            trace_id,
-            span_id: if span.id() != 0 {
-                span.id()
-            } else {
-                client.span_id
-            },
-        };
-        if inner.groups.is_empty() {
-            record_gateway_flight(&FlightInput {
-                trace_id,
-                id,
-                query_len: query.len(),
-                t0,
-                marks: vec![(Stage::Admission, t0.elapsed())],
-                shards: Vec::new(),
-                flight: &QueryFlight::default(),
-                degraded: false,
-                ok: false,
-                cancel: "unavailable",
-                tenant,
-            });
-            return Err(RemoteError::Unavailable);
-        }
-        let deadline_at = deadline.map(|d| Instant::now() + d);
-        let flight = Arc::new(QueryFlight::default());
-        let admitted = Instant::now();
-
-        let (tx, rx) = mpsc::channel();
-        for slice in 0..inner.groups.len() {
-            let tx = tx.clone();
-            let this = self.clone();
-            let query = query.to_vec();
-            let tenant = tenant.to_string();
-            let flight = Arc::clone(&flight);
-            std::thread::spawn(move || {
-                let outcome = query_group(
-                    &this.inner,
-                    slice,
-                    id,
-                    &tenant,
-                    &query,
-                    top_k,
-                    deadline_at,
-                    ctx,
-                    &flight,
-                );
-                let _ = tx.send((slice, outcome));
-            });
-        }
-        drop(tx);
-        let dispatched = Instant::now();
-
-        let mut all_hits = Vec::new();
-        let mut missing = Vec::new();
-        let mut fatal = None;
-        let mut timings = Vec::new();
-        let mut fidelity = Fidelity::Full;
-        for (slice, outcome) in rx {
-            match outcome {
-                GroupOutcome::Ok(hits, timing, f) => {
-                    all_hits.extend(hits);
-                    timings.extend(timing);
-                    // Conservative merge: the response is only as
-                    // faithful as its least-faithful contributor.
-                    fidelity = fidelity.max(f);
-                }
-                GroupOutcome::Missing => missing.push(slice as u32),
-                GroupOutcome::Fatal(e) => fatal = Some(e),
-            }
-        }
-        let gathered = Instant::now();
-        timings.sort_by_key(|t| t.shard);
-        let marks = |merged: Option<Instant>| {
-            let mut m = vec![
-                (Stage::Admission, admitted.duration_since(t0)),
-                (Stage::Dispatch, dispatched.duration_since(admitted)),
-                (Stage::NetRtt, gathered.duration_since(dispatched)),
-            ];
-            if let Some(at) = merged {
-                m.push((Stage::Merge, at.duration_since(gathered)));
-            }
-            m
-        };
-
-        if let Some(e) = fatal {
-            record_gateway_flight(&FlightInput {
-                trace_id,
-                id,
-                query_len: query.len(),
-                t0,
-                marks: marks(None),
-                shards: timings,
-                flight: &flight,
-                degraded: false,
-                ok: false,
-                cancel: cancel_label(&e),
-                tenant,
-            });
-            return Err(e);
-        }
-        if missing.len() == inner.groups.len() {
-            record_gateway_flight(&FlightInput {
-                trace_id,
-                id,
-                query_len: query.len(),
-                t0,
-                marks: marks(None),
-                shards: timings,
-                flight: &flight,
-                degraded: true,
-                ok: false,
-                cancel: "unavailable",
-                tenant,
-            });
-            return Err(RemoteError::Unavailable);
-        }
-        missing.sort_unstable();
-        let degraded = !missing.is_empty();
-        if degraded {
-            inner.metrics.degraded.inc();
-        }
-        let hits = rank_hits(all_hits, top_k);
-        let merged = Instant::now();
-        inner
-            .metrics
-            .latency
-            .record_duration(merged.duration_since(t0));
-        span.record("hits", hits.len() as u64);
-        span.record("degraded", degraded);
-        record_gateway_flight(&FlightInput {
-            trace_id,
-            id,
-            query_len: query.len(),
-            t0,
-            marks: marks(Some(merged)),
-            shards: timings,
-            flight: &flight,
-            degraded,
-            ok: true,
-            cancel: "",
-            tenant,
-        });
-        Ok(GatewayResponse {
-            hits,
-            degraded,
-            missing_shards: missing,
-            trace_id,
-            fidelity,
-        })
+        self.open(tenant, query, top_k, deadline, client, None)?
+            .finish()
     }
 
     /// Streamed [`Gateway::query`]: chunks of ranked hits arrive
@@ -526,25 +334,20 @@ impl Gateway {
         )
     }
 
-    /// Open a streaming scatter-gather query. One reader thread per
-    /// slice holds a [`Msg::StreamQuery`] conversation with a replica
-    /// (breaker-aware pick, bounded retries with the shared backoff
-    /// schedule), relaying chunks into a bounded buffer of at most
-    /// `client_credit` chunks — the gateway never holds more than
-    /// `credit × chunk` bytes per client; backpressure propagates to
-    /// the shards through their own credit windows. A replica that
-    /// dies mid-stream is replaced by a sibling and the conversation
-    /// resumes from the last delivered cursor (the shard replays its
-    /// durable journal); chunks are deduplicated by `(slice, cursor)`
-    /// so replays and replica switches never double-deliver. A slice
-    /// that exhausts its retry budget folds into the `degraded` /
-    /// `missing_shards` machinery exactly like the one-shot path.
+    /// Open a streaming scatter-gather query. Chunks are relayed into a
+    /// bounded buffer of at most `client_credit` chunks — the gateway
+    /// never holds more than `credit × chunk` bytes per client;
+    /// backpressure propagates to the shards through their own credit
+    /// windows. A replica that dies mid-stream is replaced by a sibling
+    /// and the conversation resumes from the last delivered cursor (the
+    /// shard replays its durable journal); chunks are deduplicated by
+    /// `(slice, cursor)` so replays and replica switches never
+    /// double-deliver.
     ///
     /// The returned handle yields [`StreamItem`]s; the terminal
-    /// [`StreamItem::Fin`] carries the same merged
-    /// [`GatewayResponse`] the one-shot path would have produced (the
-    /// gateway folds every chunk incrementally, so the final ranking
-    /// is byte-identical to an unsharded search).
+    /// [`StreamItem::Fin`] carries the merged [`GatewayResponse`] (the
+    /// gateway folds every chunk incrementally, so the final ranking is
+    /// byte-identical to an unsharded search).
     pub fn stream_query_traced_for(
         &self,
         tenant: &str,
@@ -554,109 +357,107 @@ impl Gateway {
         client: TraceCtx,
         client_credit: u32,
     ) -> Result<GatewayStream, RemoteError> {
+        self.open(tenant, query, top_k, deadline, client, Some(client_credit))
+    }
+
+    /// The one query engine. Admits the query at the edge, gives it one
+    /// trace id (the client's, or freshly minted) and a
+    /// `gateway_request` span whose context rides every shard frame, so
+    /// shard-side span trees stitch into one distributed tree. One
+    /// thread per slice holds a [`Msg::StreamQuery`] conversation with
+    /// a replica (breaker-aware pick, bounded retries with the shared
+    /// backoff schedule, hedging); a slice that exhausts its budget
+    /// folds into `degraded` / `missing_shards`. The finished query is
+    /// filed in the process-global flight recorder with its stage
+    /// breakdown (admission → dispatch → net_rtt → merge partition the
+    /// gateway's wall time) and the per-shard timing summaries the
+    /// `Fin` frames carried.
+    ///
+    /// `client_credit` is a stream's window. `None` runs a one-shot
+    /// query: its slices fold chunks without forwarding them, so the
+    /// handle yields only the terminal [`StreamItem::Fin`].
+    pub(crate) fn open(
+        &self,
+        tenant: &str,
+        query: &[u8],
+        top_k: usize,
+        deadline: Option<Duration>,
+        client: TraceCtx,
+        client_credit: Option<u32>,
+    ) -> Result<GatewayStream, RemoteError> {
         let inner = &self.inner;
         inner.metrics.requests.inc();
+        let t0 = Instant::now();
         let guard = edge_admit(inner, tenant, query.len() as u64)?;
-        if inner.groups.is_empty() {
-            return Err(RemoteError::Unavailable);
-        }
         let trace_id = if client.is_traced() {
             client.trace_id
         } else {
             swsimd_obs::mint_id()
         };
-        let _adopt = swsimd_obs::adopt(TraceCtx {
-            trace_id,
-            span_id: client.span_id,
-        });
-        let span = swsimd_obs::span!("gateway_stream", "shards" => inner.groups.len());
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let ctx = TraceCtx {
-            trace_id,
-            span_id: if span.id() != 0 {
-                span.id()
-            } else {
-                client.span_id
+        let mut job = Scatter {
+            id: inner.next_id.fetch_add(1, Ordering::Relaxed),
+            ctx: TraceCtx {
+                trace_id,
+                span_id: client.span_id,
             },
+            tenant: tenant.to_string(),
+            query: query.to_vec(),
+            top_k,
+            deadline_at: deadline.map(|d| Instant::now() + d),
+            forward: client_credit.is_some(),
+            t0,
+            retries: AtomicU32::new(0),
+            hedges: AtomicU32::new(0),
         };
-        let deadline_at = deadline.map(|d| Instant::now() + d);
-        // The client's credit window sizes the only gateway-side chunk
-        // buffer; a zero or absurd window is clamped, not trusted.
-        let bound = (client_credit.max(1) as usize).min(MAX_BUFFERED_CHUNKS);
-        let (tx, rx) = mpsc::sync_channel::<StreamItem>(bound);
-        let progress = Arc::new(StreamProgress::new(inner.groups.len()));
-        let (end_tx, end_rx) = mpsc::channel();
-        for slice in 0..inner.groups.len() {
-            let this = self.clone();
-            let query = query.to_vec();
-            let tenant = tenant.to_string();
-            let tx = tx.clone();
-            let end_tx = end_tx.clone();
-            let progress = Arc::clone(&progress);
-            std::thread::spawn(move || {
-                let end = stream_group(
-                    &this.inner,
-                    slice,
-                    id,
-                    &tenant,
-                    &query,
-                    top_k,
-                    deadline_at,
-                    ctx,
-                    &tx,
-                    &progress,
-                );
-                let _ = end_tx.send((slice, end));
-            });
-        }
-        drop(end_tx);
-        let this = self.clone();
         let slices = inner.groups.len();
+        if slices == 0 {
+            let marks = vec![(Stage::Admission, t0.elapsed())];
+            job.record_flight(marks, Vec::new(), false, "unavailable");
+            return Err(RemoteError::Unavailable);
+        }
+        // The client's credit window sizes the only gateway-side chunk
+        // buffer; a zero or absurd window is clamped, not trusted. A
+        // one-shot query forwards no chunks: its buffer holds the Fin.
+        let bound = client_credit.map_or(1, |c| (c.max(1) as usize).min(MAX_BUFFERED_CHUNKS));
+        let (tx, rx) = mpsc::sync_channel::<StreamItem>(bound);
+        let progress = Arc::new(StreamProgress::new(slices));
+        let admitted = Instant::now();
+        let coordinator = Arc::clone(inner);
+        let slice_progress = Arc::clone(&progress);
         std::thread::spawn(move || {
-            // Holds the tenant's in-flight slot for the stream's whole
-            // lifetime, not just the setup call.
+            // Holds the tenant's in-flight slot for the query's whole
+            // lifetime, not just the `open` call.
             let _guard = guard;
-            let inner = &this.inner;
-            let mut merged = Vec::new();
-            let mut missing = Vec::new();
-            let mut fatal = None;
-            let mut fidelity = Fidelity::Full;
-            let mut abandoned = false;
-            for (slice, end) in end_rx {
-                match end {
-                    StreamGroupEnd::Ok(hits, f) => {
-                        merged.extend(hits);
-                        fidelity = fidelity.max(f);
-                    }
-                    StreamGroupEnd::Missing => missing.push(slice as u32),
-                    StreamGroupEnd::Fatal(e) => fatal = Some(e),
-                    StreamGroupEnd::Abandoned => abandoned = true,
-                }
+            // The request span lives here, so it closes after the merge.
+            let _adopt = swsimd_obs::adopt(job.ctx);
+            let mut span = swsimd_obs::span!("gateway_request", "shards" => slices);
+            if span.id() != 0 {
+                job.ctx.span_id = span.id();
             }
-            if abandoned {
-                // The client side of the buffer is gone; there is
-                // nobody left to tell.
-                return;
+            let job = Arc::new(job);
+            let (end_tx, end_rx) = mpsc::channel();
+            for slice in 0..slices {
+                let inner = Arc::clone(&coordinator);
+                let job = Arc::clone(&job);
+                let tx = tx.clone();
+                let progress = Arc::clone(&slice_progress);
+                let end_tx = end_tx.clone();
+                std::thread::spawn(move || {
+                    let end = drive_slice(&inner, slice, &job, &tx, &progress);
+                    let _ = end_tx.send((slice, end));
+                });
             }
-            let result = if let Some(e) = fatal {
-                Err(e)
-            } else if missing.len() == slices {
-                Err(RemoteError::Unavailable)
-            } else {
-                missing.sort_unstable();
-                let degraded = !missing.is_empty();
-                if degraded {
-                    inner.metrics.degraded.inc();
-                }
-                Ok(GatewayResponse {
-                    hits: rank_hits(merged, top_k),
-                    degraded,
-                    missing_shards: missing,
-                    trace_id,
-                    fidelity,
-                })
-            };
-            let _ = tx.send(StreamItem::Fin(result));
+            drop(end_tx);
+            let dispatched = Instant::now();
+            let result = gather(&coordinator, &job, end_rx, admitted, dispatched);
+            if let Some(Ok(resp)) = &result {
+                span.record("hits", resp.hits.len() as u64);
+                span.record("degraded", resp.degraded);
+            }
+            drop(span);
+            if let Some(result) = result {
+                let _ = tx.send(StreamItem::Fin(result));
+            }
         });
         Ok(GatewayStream {
             rx,
@@ -767,8 +568,8 @@ impl Drop for ProberHandle {
     }
 }
 
-/// Edge admission shared by the one-shot and streaming paths: token
-/// bucket first (cheapest to explain to the caller), then the
+/// Edge admission, before anything else a query does: token bucket
+/// first (cheapest to explain to the caller), then the
 /// concurrency cap. Both reject with a typed error carrying a backoff
 /// hint; neither touches a shard. On success the returned guard holds
 /// the tenant's in-flight slot until dropped.
@@ -807,58 +608,67 @@ fn edge_admit(inner: &GatewayInner, tenant: &str, cost: u64) -> Result<InflightG
     Ok(InflightGuard(gate))
 }
 
-/// Everything one gateway audit record needs, gathered at an exit
-/// point of [`Gateway::query_traced`].
-struct FlightInput<'a> {
-    trace_id: u64,
+/// One query's scatter: what every slice thread needs, plus the
+/// bookkeeping its flight record is filed from.
+struct Scatter {
     id: u64,
-    query_len: usize,
+    /// Trace context for the shard frames (child of the request span).
+    ctx: TraceCtx,
+    tenant: String,
+    query: Vec<u8>,
+    top_k: usize,
+    deadline_at: Option<Instant>,
+    /// A stream forwards every new chunk to its client; a one-shot
+    /// query only folds them.
+    forward: bool,
+    /// When the query arrived, before edge admission.
     t0: Instant,
-    marks: Vec<(Stage, Duration)>,
-    shards: Vec<ShardTiming>,
-    flight: &'a QueryFlight,
-    degraded: bool,
-    ok: bool,
-    cancel: &'a str,
-    tenant: &'a str,
+    retries: AtomicU32,
+    hedges: AtomicU32,
 }
 
-/// File one gateway request into the process-global flight recorder.
-fn record_gateway_flight(input: &FlightInput<'_>) {
-    let recorder = swsimd_obs::flight::global();
-    if !recorder.enabled() {
-        return;
-    }
-    // Engine attribution: unanimous across shards, or "mixed".
-    let engine = match input.shards.first() {
-        Some(first) if input.shards.iter().all(|t| t.engine == first.engine) => {
-            first.engine.clone()
+impl Scatter {
+    /// File this query into the process-global flight recorder; an
+    /// empty `cancel` label means it succeeded.
+    fn record_flight(
+        &self,
+        marks: Vec<(Stage, Duration)>,
+        shards: Vec<ShardTiming>,
+        degraded: bool,
+        cancel: &str,
+    ) {
+        let recorder = swsimd_obs::flight::global();
+        if !recorder.enabled() {
+            return;
         }
-        Some(_) => "mixed".to_string(),
-        None => String::new(),
-    };
-    recorder.record(AuditRecord {
-        trace_id: input.trace_id,
-        query_id: input.id,
-        total_ns: input.t0.elapsed().as_nanos() as u64,
-        stages: input
-            .marks
-            .iter()
-            .map(|(stage, d)| StageTiming {
-                stage: *stage,
-                ns: d.as_nanos() as u64,
-            })
-            .collect(),
-        shards: input.shards.clone(),
-        engine,
-        retries: input.flight.retries.load(Ordering::Relaxed),
-        hedges: input.flight.hedges.load(Ordering::Relaxed),
-        degraded: input.degraded,
-        cost: input.query_len as u64,
-        cancel: input.cancel.to_string(),
-        ok: input.ok,
-        tenant: tenant_label(input.tenant).to_string(),
-    });
+        // Engine attribution: unanimous across shards, or "mixed".
+        let engine = match shards.first() {
+            Some(first) if shards.iter().all(|t| t.engine == first.engine) => first.engine.clone(),
+            Some(_) => "mixed".to_string(),
+            None => String::new(),
+        };
+        recorder.record(AuditRecord {
+            trace_id: self.ctx.trace_id,
+            query_id: self.id,
+            total_ns: self.t0.elapsed().as_nanos() as u64,
+            stages: marks
+                .iter()
+                .map(|(stage, d)| StageTiming {
+                    stage: *stage,
+                    ns: d.as_nanos() as u64,
+                })
+                .collect(),
+            shards,
+            engine,
+            retries: self.retries.load(Ordering::Relaxed),
+            hedges: self.hedges.load(Ordering::Relaxed),
+            degraded,
+            cost: self.query.len() as u64,
+            cancel: cancel.to_string(),
+            ok: cancel.is_empty(),
+            tenant: tenant_label(&self.tenant).to_string(),
+        });
+    }
 }
 
 /// Flight-recorder cancel label for a fatal gateway error.
@@ -955,82 +765,6 @@ fn budget_ms(deadline_at: Option<Instant>) -> Option<u32> {
     }
 }
 
-/// Run one shard group to completion: retries, breaker bookkeeping,
-/// and hedging happen here.
-#[allow(clippy::too_many_arguments)] // group context travels together
-fn query_group(
-    inner: &Arc<GatewayInner>,
-    slice: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-    flight: &QueryFlight,
-) -> GroupOutcome {
-    let group = &inner.groups[slice];
-    let mut attempt = 0u32;
-    // Backoff hint from the previous attempt's overload rejection, if
-    // any; it overrides the exponential schedule for the next sleep.
-    let mut hint_ms: Option<u64> = None;
-    loop {
-        if !inner.cfg.retry.allows(attempt) {
-            return GroupOutcome::Missing;
-        }
-        if attempt > 0 {
-            inner.metrics.retries.inc();
-            flight.retries.fetch_add(1, Ordering::Relaxed);
-            let delay = inner.cfg.retry.delay_with_hint(attempt, hint_ms);
-            if let Some(d) = deadline_at {
-                if Instant::now() + delay >= d {
-                    return GroupOutcome::Missing;
-                }
-            }
-            std::thread::sleep(delay);
-        }
-        let available: Vec<usize> = group
-            .iter()
-            .copied()
-            .filter(|&ord| lock_ok(&inner.replicas[ord].breaker).is_available())
-            .collect();
-        if available.is_empty() {
-            // Breaker open on every replica: degrade now; the prober
-            // re-admits recovered shards out of band.
-            return GroupOutcome::Missing;
-        }
-        let primary = available[attempt as usize % available.len()];
-        let hedge = (available.len() > 1 && inner.cfg.hedge_after.is_some())
-            .then(|| available[(attempt as usize + 1) % available.len()]);
-
-        match attempt_with_hedge(
-            inner,
-            primary,
-            hedge,
-            id,
-            tenant,
-            query,
-            top_k,
-            deadline_at,
-            ctx,
-            flight,
-        ) {
-            Attempt::Ok(hits, timing, fidelity) => return GroupOutcome::Ok(hits, timing, fidelity),
-            Attempt::Fatal(e) => return GroupOutcome::Fatal(e),
-            Attempt::Retryable(hint) => {
-                hint_ms = hint;
-                attempt += 1;
-            }
-            // Draining folds into Retryable before reaching here; the
-            // next pass simply skips the force-opened replica.
-            Attempt::Draining => {
-                hint_ms = None;
-                attempt += 1;
-            }
-        }
-    }
-}
-
 /// Per-shard credit window the gateway's slice readers extend: the
 /// shard may have this many chunks in flight toward the gateway
 /// before it must wait for a grant. Small enough to bound shard-side
@@ -1054,17 +788,18 @@ pub enum StreamItem {
         /// Ranked hits for the chunk's database range.
         hits: Vec<Hit>,
     },
-    /// Terminal item: the merged ranking (byte-identical to the
-    /// one-shot path) or the fatal error that ended the stream.
+    /// Terminal item: the merged ranking (byte-identical to an
+    /// unsharded search) or the fatal error that ended the stream.
     Fin(Result<GatewayResponse, RemoteError>),
 }
 
-/// Per-slice progress cells shared between the reader threads (which
+/// Per-slice progress cells shared between the slice threads (which
 /// write what shards report) and the stream handle (which sums them
-/// for heartbeats).
+/// for heartbeats), plus the flag the handle raises when dropped.
 struct StreamProgress {
     done: Vec<AtomicU64>,
     total: Vec<AtomicU64>,
+    abandoned: AtomicBool,
 }
 
 impl StreamProgress {
@@ -1072,7 +807,13 @@ impl StreamProgress {
         Self {
             done: (0..slices).map(|_| AtomicU64::new(0)).collect(),
             total: (0..slices).map(|_| AtomicU64::new(0)).collect(),
+            abandoned: AtomicBool::new(false),
         }
+    }
+
+    /// True once the client let go of the stream handle.
+    fn abandoned(&self) -> bool {
+        self.abandoned.load(Ordering::Acquire)
     }
 
     fn set(&self, slice: usize, done: u64, total: u64) {
@@ -1094,10 +835,10 @@ impl StreamProgress {
     }
 }
 
-/// Client half of one streaming scatter-gather query. Dropping the
-/// handle abandons the stream: reader threads notice their buffer is
-/// gone, close their shard sockets, and the shards keep their
-/// journals for a later resume.
+/// Client half of one scatter-gather query. Dropping the handle
+/// abandons the query: each slice thread notices at its next shard
+/// frame (heartbeats included) and hangs up, so the shards cancel the
+/// work and keep their journals for a later resume.
 pub struct GatewayStream {
     rx: mpsc::Receiver<StreamItem>,
     progress: Arc<StreamProgress>,
@@ -1151,10 +892,20 @@ impl GatewayStream {
             }
         }
     }
+
+    /// Wait for the terminal result, skipping any chunks.
+    fn finish(mut self) -> Result<GatewayResponse, RemoteError> {
+        loop {
+            if let Some(StreamItem::Fin(result)) = self.next_timeout(Duration::MAX) {
+                return result;
+            }
+        }
+    }
 }
 
 impl Drop for GatewayStream {
     fn drop(&mut self) {
+        self.progress.abandoned.store(true, Ordering::Release);
         // Undelivered chunks stop being "buffered for a client" the
         // moment the client lets go of the handle.
         while let Ok(item) = self.rx.try_recv() {
@@ -1189,63 +940,139 @@ fn buffered_sub(metrics: &StreamMetrics, bytes: usize) {
     metrics.buffered_bytes.set(now);
 }
 
-/// How one slice's streaming conversation ended, after retries.
-enum StreamGroupEnd {
-    /// Every chunk delivered and folded; the slice's contribution to
-    /// the final merge plus the fidelity its shard served at.
-    Ok(Vec<Hit>, Fidelity),
+/// How one slice ended, after retries.
+enum SliceEnd {
+    /// Every chunk taken and folded: the slice's contribution to the
+    /// final merge, the fidelity its shard served at, and the shard's
+    /// timing summary (its `rtt_ns` stamped here).
+    Ok(Vec<Hit>, Fidelity, Option<ShardTiming>),
     /// Retry budget exhausted or no replica available: degrade.
     Missing,
+    /// The query's deadline passed before the slice was answered:
+    /// degrade, or fail the query if no slice answered.
+    Deadline,
     Fatal(RemoteError),
     /// The client dropped the stream handle; stop without a verdict.
     Abandoned,
 }
 
-/// How one streaming attempt against one replica ended.
-enum StreamAttemptEnd {
-    Done(Fidelity),
-    Retryable(Option<u64>),
-    Draining,
-    Fatal(RemoteError),
-    Abandoned,
+/// Merge the slices' ends into the query's answer and file its flight
+/// record. `None` when the client abandoned the query: nobody is left
+/// to answer.
+fn gather(
+    inner: &GatewayInner,
+    job: &Scatter,
+    ends: mpsc::Receiver<(usize, SliceEnd)>,
+    admitted: Instant,
+    dispatched: Instant,
+) -> Option<Result<GatewayResponse, RemoteError>> {
+    let mut hits = Vec::new();
+    let mut missing = Vec::new();
+    let mut timings = Vec::new();
+    let mut fidelity = Fidelity::Full;
+    let (mut fatal, mut expired, mut abandoned) = (None, false, false);
+    for (slice, end) in ends {
+        match end {
+            SliceEnd::Ok(slice_hits, f, timing) => {
+                hits.extend(slice_hits);
+                timings.extend(timing);
+                // Conservative merge: the response is only as faithful
+                // as its least-faithful contributor.
+                fidelity = fidelity.max(f);
+            }
+            SliceEnd::Missing => missing.push(slice as u32),
+            SliceEnd::Deadline => {
+                missing.push(slice as u32);
+                expired = true;
+            }
+            SliceEnd::Fatal(e) => fatal = Some(e),
+            SliceEnd::Abandoned => abandoned = true,
+        }
+    }
+    let gathered = Instant::now();
+    timings.sort_by_key(|t| t.shard);
+    missing.sort_unstable();
+    let degraded = !missing.is_empty();
+    let mut marks = vec![
+        (Stage::Admission, admitted.duration_since(job.t0)),
+        (Stage::Dispatch, dispatched.duration_since(admitted)),
+        (Stage::NetRtt, gathered.duration_since(dispatched)),
+    ];
+    let err = match fatal {
+        Some(e) => Some(e),
+        // Nothing answered: after the deadline passed, that is the
+        // deadline's doing, not an outage.
+        None if missing.len() == inner.groups.len() && expired => {
+            Some(RemoteError::Serve(ServeError::DeadlineExceeded))
+        }
+        None if missing.len() == inner.groups.len() => Some(RemoteError::Unavailable),
+        None => None,
+    };
+    if abandoned {
+        job.record_flight(marks, timings, degraded, "client_drop");
+        return None;
+    }
+    if let Some(e) = err {
+        job.record_flight(marks, timings, degraded, cancel_label(&e));
+        return Some(Err(e));
+    }
+    if degraded {
+        inner.metrics.degraded.inc();
+    }
+    let hits = rank_hits(hits, job.top_k);
+    let merged = Instant::now();
+    inner
+        .metrics
+        .latency
+        .record_duration(merged.duration_since(job.t0));
+    marks.push((Stage::Merge, merged.duration_since(gathered)));
+    job.record_flight(marks, timings, degraded, "");
+    Some(Ok(GatewayResponse {
+        hits,
+        degraded,
+        missing_shards: missing,
+        trace_id: job.ctx.trace_id,
+        fidelity,
+    }))
 }
 
-/// Run one slice's stream to completion: breaker-aware replica picks,
-/// bounded retries, and mid-stream reconnects that resume from the
-/// last delivered cursor.
-#[allow(clippy::too_many_arguments)] // stream context travels together
-fn stream_group(
+/// What one slice has taken from its replicas, across attempts.
+#[derive(Default)]
+struct Fold {
+    /// Highest cursor taken; a reconnect asks the next replica to skip
+    /// everything at or below it.
+    delivered: u64,
+    /// Incremental fold of every chunk: per-chunk top-k capping
+    /// preserves the global top-k, so this stays bounded by `top_k`.
+    merged: Vec<Hit>,
+}
+
+/// Run one slice to its end: breaker-aware replica picks, bounded
+/// retries under the shared backoff schedule, and reconnects that
+/// resume from the last delivered cursor.
+fn drive_slice(
     inner: &Arc<GatewayInner>,
     slice: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-    tx: &mpsc::SyncSender<StreamItem>,
+    job: &Scatter,
+    out: &mpsc::SyncSender<StreamItem>,
     progress: &StreamProgress,
-) -> StreamGroupEnd {
+) -> SliceEnd {
     let group = &inner.groups[slice];
+    let mut fold = Fold::default();
     let mut attempt = 0u32;
+    // Backoff hint from the previous attempt's overload rejection, if
+    // any; it overrides the exponential schedule for the next sleep.
     let mut hint_ms: Option<u64> = None;
-    // Highest cursor forwarded into the client buffer; reconnects ask
-    // the next replica to skip everything at or below it.
-    let mut delivered = 0u64;
-    // Incremental fold of every chunk: per-chunk top-k capping
-    // preserves the global top-k, so this stays bounded by `top_k`.
-    let mut merged: Vec<Hit> = Vec::new();
     loop {
         if !inner.cfg.retry.allows(attempt) {
-            return StreamGroupEnd::Missing;
+            return SliceEnd::Missing;
         }
         if attempt > 0 {
             inner.metrics.retries.inc();
+            job.retries.fetch_add(1, Ordering::Relaxed);
             let delay = inner.cfg.retry.delay_with_hint(attempt, hint_ms);
-            if let Some(d) = deadline_at {
-                if Instant::now() + delay >= d {
-                    return StreamGroupEnd::Missing;
-                }
+            if job.deadline_at.is_some_and(|d| Instant::now() + delay >= d) {
+                return SliceEnd::Deadline;
             }
             std::thread::sleep(delay);
         }
@@ -1255,293 +1082,490 @@ fn stream_group(
             .filter(|&ord| lock_ok(&inner.replicas[ord].breaker).is_available())
             .collect();
         if available.is_empty() {
-            return StreamGroupEnd::Missing;
+            // Breaker open on every replica: degrade now; the prober
+            // re-admits recovered shards out of band.
+            return SliceEnd::Missing;
         }
-        let ordinal = available[attempt as usize % available.len()];
-        if attempt > 0 && delivered > 0 {
+        let primary = available[attempt as usize % available.len()];
+        let sibling =
+            (available.len() > 1).then(|| available[(attempt as usize + 1) % available.len()]);
+        if attempt > 0 && fold.delivered > 0 {
             // This attempt continues a partially-delivered stream from
             // durable shard state rather than starting over.
             inner.stream.resumes.inc();
             swsimd_obs::event!(
                 "stream_shard_reconnect",
                 "slice" => slice,
-                "cursor" => delivered
+                "cursor" => fold.delivered
             );
         }
-        let replica = &inner.replicas[ordinal];
-        replica.metrics.inflight.inc();
-        let end = stream_attempt(
-            inner,
-            ordinal,
-            id,
-            tenant,
-            query,
-            top_k,
-            deadline_at,
-            ctx,
-            &mut delivered,
-            &mut merged,
-            tx,
-            progress,
-        );
-        replica.metrics.inflight.dec();
-        match end {
-            StreamAttemptEnd::Done(fidelity) => {
-                lock_ok(&replica.breaker).record_success();
-                return StreamGroupEnd::Ok(merged, fidelity);
+        match run_attempt(
+            inner, slice, job, primary, sibling, &mut fold, out, progress,
+        ) {
+            AttemptEnd::Done(fidelity, timing) => {
+                return SliceEnd::Ok(fold.merged, fidelity, timing)
             }
-            StreamAttemptEnd::Fatal(e) => return StreamGroupEnd::Fatal(e),
-            StreamAttemptEnd::Abandoned => return StreamGroupEnd::Abandoned,
-            StreamAttemptEnd::Draining => {
-                inner.metrics.draining_replies.inc();
-                let opened = lock_ok(&replica.breaker).force_open();
-                if opened {
-                    replica.metrics.down_total.inc();
-                    replica.metrics.up.set(0);
-                    swsimd_obs::event!("shard_draining_unrouted", "replica" => ordinal);
-                }
-                hint_ms = None;
-                attempt += 1;
-            }
-            StreamAttemptEnd::Retryable(hint) => {
-                let opened = lock_ok(&replica.breaker).record_failure();
-                if opened {
-                    replica.metrics.down_total.inc();
-                    replica.metrics.up.set(0);
-                    swsimd_obs::event!("shard_breaker_open", "replica" => ordinal);
-                }
-                hint_ms = hint;
-                attempt += 1;
-            }
+            AttemptEnd::Abandoned => return SliceEnd::Abandoned,
+            AttemptEnd::Failed(Failure::Fatal(e)) => return SliceEnd::Fatal(e),
+            AttemptEnd::Failed(Failure::Deadline) => return SliceEnd::Deadline,
+            AttemptEnd::Failed(Failure::Retryable(hint)) => hint_ms = hint,
+            // The draining replica's breaker is already force-open: the
+            // next pass picks a live sibling.
+            AttemptEnd::Failed(Failure::Draining) => hint_ms = None,
+        }
+        attempt += 1;
+    }
+}
+
+/// How one replica's conversation ended short of its `Fin`.
+enum Failure {
+    /// Retrying (a sibling, or this replica later) may help; an
+    /// overloaded shard attaches its `retry_after_ms` backoff hint.
+    Retryable(Option<u64>),
+    /// The replica announced it is draining (SIGTERM'd or a passive
+    /// standby): its breaker is forced open so no further attempts or
+    /// hedges burn budget discovering the same thing.
+    Draining,
+    /// The replica stayed silent until the query's deadline passed.
+    Deadline,
+    /// Retrying cannot change the outcome; fail the query.
+    Fatal(RemoteError),
+}
+
+impl Failure {
+    fn hint(&self) -> Option<u64> {
+        match self {
+            Failure::Retryable(hint) => *hint,
+            _ => None,
         }
     }
 }
 
-/// One streaming conversation with one replica: relay chunks into the
-/// client buffer (deduplicated by cursor), grant the shard one credit
-/// per chunk consumed, track progress heartbeats, and fold every new
-/// chunk into the slice's running merge.
-#[allow(clippy::too_many_arguments)] // stream context travels together
-fn stream_attempt(
-    inner: &GatewayInner,
+/// How one attempt at a slice ended.
+enum AttemptEnd {
+    /// The replica's `Fin`: the fidelity it served at and its timing.
+    Done(Fidelity, Option<ShardTiming>),
+    Failed(Failure),
+    Abandoned,
+}
+
+/// One conversation with one replica. Dropping it hangs up: the reader
+/// thread wakes, and the shard cancels the job as a client drop.
+struct Leg {
     ordinal: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-    delivered: &mut u64,
-    merged: &mut Vec<Hit>,
-    tx: &mpsc::SyncSender<StreamItem>,
-    progress: &StreamProgress,
-) -> StreamAttemptEnd {
-    let replica = &inner.replicas[ordinal];
-    let slice = replica.slice;
-    let Some(deadline_ms) = budget_ms(deadline_at) else {
-        return StreamAttemptEnd::Fatal(RemoteError::Serve(ServeError::DeadlineExceeded));
-    };
-    if inner.cfg.fault.before_connect(ordinal).is_err() {
-        return StreamAttemptEnd::Retryable(None);
+    socket: TcpStream,
+    /// When the `StreamQuery` went out: the replica's round trip runs
+    /// from here to its `Fin`.
+    opened: Instant,
+    /// When the replica's silence ends the conversation:
+    /// `request_timeout` after the `StreamQuery` for a one-shot query
+    /// (heartbeats do not extend it), after its latest frame for a
+    /// stream.
+    expires: Instant,
+    /// Whether the replica has sent any frame, heartbeats included.
+    heard: bool,
+    inflight: Arc<Gauge>,
+}
+
+impl Drop for Leg {
+    fn drop(&mut self) {
+        let _ = self.socket.shutdown(Shutdown::Both);
+        self.inflight.dec();
     }
-    let Ok(addr) = resolve(&replica.addr) else {
-        return StreamAttemptEnd::Retryable(None);
-    };
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout) else {
-        return StreamAttemptEnd::Retryable(None);
-    };
-    // The read timeout bounds *silence*, not the stream: the shard
-    // proves liveness with sub-second Progress heartbeats, so a long
-    // stream never trips it while a dead peer still does.
-    crate::listen::apply_socket_opts(&stream, Some(inner.cfg.request_timeout), "gateway_stream");
+}
+
+/// A frame (or the read error that ended the conversation), tagged
+/// with the index of the leg that read it.
+type LegFrame = (usize, Result<Msg, WireError>);
+
+/// Dial replica `ordinal`, send it the slice's `StreamQuery` with
+/// `deadline_ms` of budget, resuming after `cursor`, and start a reader
+/// thread that forwards every frame into `frames`.
+#[allow(clippy::too_many_arguments)] // leg context travels together
+fn open_leg(
+    inner: &GatewayInner,
+    job: &Scatter,
+    ordinal: usize,
+    deadline_ms: u32,
+    cursor: u64,
+    index: usize,
+    frames: &mpsc::Sender<LegFrame>,
+) -> Result<Leg, Failure> {
+    let replica = &inner.replicas[ordinal];
+    let retryable = |_| Failure::Retryable(None);
+    inner.cfg.fault.before_connect(ordinal).map_err(retryable)?;
+    let addr = resolve(&replica.addr).map_err(retryable)?;
+    let mut socket =
+        TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout).map_err(retryable)?;
+    // No read timeout: the attempt's wait on `frames` bounds silence and
+    // the deadline, and dropping the leg ends the read.
+    crate::listen::apply_socket_opts(&socket, None, "gateway_stream");
+    let mut reader = socket.try_clone().map_err(retryable)?;
     let msg = Msg::StreamQuery {
-        id,
-        top_k: top_k as u32,
+        id: job.id,
+        top_k: job.top_k as u32,
         deadline_ms,
-        slice_index: slice,
+        slice_index: replica.slice,
         slice_count: inner.groups.len() as u32,
         credit: SHARD_CREDIT,
-        cursor: *delivered,
-        query: query.to_vec(),
-        trace: ctx,
-        tenant: tenant.to_string(),
+        cursor,
+        query: job.query.clone(),
+        trace: job.ctx,
+        tenant: job.tenant.clone(),
     };
-    if write_msg(&mut stream, &msg).is_err() {
-        return StreamAttemptEnd::Retryable(None);
+    let opened = Instant::now();
+    write_msg(&mut socket, &msg).map_err(retryable)?;
+    let frames = frames.clone();
+    std::thread::spawn(move || loop {
+        let frame = read_msg(&mut reader);
+        let ended = frame.is_err();
+        if frames.send((index, frame)).is_err() || ended {
+            return;
+        }
+    });
+    replica.metrics.inflight.inc();
+    Ok(Leg {
+        ordinal,
+        socket,
+        opened,
+        expires: opened + inner.cfg.request_timeout,
+        heard: false,
+        inflight: Arc::clone(&replica.metrics.inflight),
+    })
+}
+
+/// One attempt at a slice (see [`converse`]). A replica that has not
+/// sent a single frame, heartbeats included, when the attempt ends (a
+/// sibling won the hedge race, or the query ended) stays on a watcher
+/// thread until it speaks or its `request_timeout` runs out; silence is
+/// struck against its breaker as a stall. Every other replica is hung
+/// up on at once.
+#[allow(clippy::too_many_arguments)] // slice context travels together
+fn run_attempt(
+    inner: &Arc<GatewayInner>,
+    slice: usize,
+    job: &Scatter,
+    primary: usize,
+    sibling: Option<usize>,
+    fold: &mut Fold,
+    out: &mpsc::SyncSender<StreamItem>,
+    progress: &StreamProgress,
+) -> AttemptEnd {
+    let (frames_tx, frames) = mpsc::channel();
+    let mut legs = Vec::with_capacity(2);
+    let end = converse(
+        inner, slice, job, primary, sibling, fold, out, progress, &mut legs, &frames_tx, &frames,
+    );
+    for slot in &mut legs {
+        if slot.as_ref().is_some_and(|leg| leg.heard) {
+            *slot = None;
+        }
     }
-    loop {
-        match read_msg(&mut stream) {
-            Ok(Msg::StreamChunk { cursor, hits, .. }) => {
-                if cursor > *delivered {
-                    merged.extend(hits.iter().cloned());
-                    *merged = rank_hits(std::mem::take(merged), top_k);
-                    let bytes = chunk_bytes(&hits);
-                    buffered_add(&inner.stream, bytes);
-                    if tx
-                        .send(StreamItem::Chunk {
-                            slice,
-                            cursor,
-                            hits,
-                        })
-                        .is_err()
-                    {
-                        // Client buffer gone; the chunk was never
-                        // delivered, so it no longer counts as
-                        // buffered either.
-                        buffered_sub(&inner.stream, bytes);
-                        return StreamAttemptEnd::Abandoned;
-                    }
-                    inner.stream.chunks.inc();
-                    *delivered = cursor;
-                }
-                // Grant one credit per chunk consumed — a deduplicated
-                // replay still spent shard credit to arrive.
-                if write_msg(&mut stream, &Msg::Credit { id, credits: 1 }).is_err() {
-                    return StreamAttemptEnd::Retryable(None);
+    if legs.iter().any(Option::is_some) {
+        let inner = Arc::clone(inner);
+        std::thread::spawn(move || {
+            while let Some(until) = legs.iter().flatten().map(|leg| leg.expires).min() {
+                match frames.recv_timeout(until.saturating_duration_since(Instant::now())) {
+                    Ok((index, frame)) => settle_loser(&inner, &mut legs, index, frame),
+                    Err(mpsc::RecvTimeoutError::Timeout) => expire(&inner, &mut legs),
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
                 }
             }
+        });
+    }
+    end
+}
+
+/// The conversation of one attempt. The primary's opens first; when it
+/// has delivered neither a chunk nor a `Fin` within the hedge delay,
+/// the same conversation opens on `sibling`. The first replica to
+/// deliver carries the slice from then on; a loser that has spoken is
+/// hung up on, a silent one is left open for [`run_attempt`] to watch.
+/// Each replica's failure is booked against its own breaker. Waits are
+/// capped by each replica's `expires` and by the deadline, and every
+/// frame, heartbeats included, checks for a client that let go.
+#[allow(clippy::too_many_arguments)] // slice context travels together
+fn converse(
+    inner: &GatewayInner,
+    slice: usize,
+    job: &Scatter,
+    primary: usize,
+    sibling: Option<usize>,
+    fold: &mut Fold,
+    out: &mpsc::SyncSender<StreamItem>,
+    progress: &StreamProgress,
+    legs: &mut Vec<Option<Leg>>,
+    frames_tx: &mpsc::Sender<LegFrame>,
+    frames: &mpsc::Receiver<LegFrame>,
+) -> AttemptEnd {
+    // A query whose deadline already passed dials nobody.
+    let Some(budget) = budget_ms(job.deadline_at) else {
+        return AttemptEnd::Failed(Failure::Deadline);
+    };
+    match open_leg(inner, job, primary, budget, fold.delivered, 0, frames_tx) {
+        Ok(leg) => legs.push(Some(leg)),
+        Err(failure) => {
+            book(inner, primary, &failure);
+            return AttemptEnd::Failed(failure);
+        }
+    }
+    let mut hedge_at = sibling
+        .and(effective_hedge_delay(inner, primary))
+        .map(|d| Instant::now() + d);
+    let mut winner = None;
+    let mut failed: Option<Failure> = None;
+    // Whether a replica may still carry the slice: once one has
+    // delivered, only it.
+    let carrying = |legs: &[Option<Leg>], winner: Option<usize>| match winner {
+        Some(w) => legs[w].is_some(),
+        None => legs.iter().any(Option::is_some),
+    };
+    // Back off by the most pessimistic hint any replica sent.
+    let verdict = |failed: Option<Failure>, failure: Failure| match failed {
+        Some(earlier) if !matches!(failure, Failure::Fatal(_)) => {
+            Failure::Retryable(earlier.hint().max(failure.hint()))
+        }
+        _ => failure,
+    };
+    loop {
+        let now = Instant::now();
+        let until = legs
+            .iter()
+            .flatten()
+            .map(|leg| leg.expires)
+            .chain(job.deadline_at)
+            .chain(hedge_at)
+            .min()
+            .unwrap_or(now);
+        let (index, frame) = match frames.recv_timeout(until.saturating_duration_since(now)) {
+            Ok(tagged) => tagged,
+            Err(_) => {
+                let now = Instant::now();
+                if let (Some(at), Some(sibling)) = (hedge_at, sibling) {
+                    if now >= at {
+                        hedge_at = None;
+                        if let Some(budget) = budget_ms(job.deadline_at) {
+                            inner.metrics.hedges.inc();
+                            job.hedges.fetch_add(1, Ordering::Relaxed);
+                            swsimd_obs::event!("hedged_request", "primary" => primary, "sibling" => sibling);
+                            let index = legs.len();
+                            match open_leg(
+                                inner,
+                                job,
+                                sibling,
+                                budget,
+                                fold.delivered,
+                                index,
+                                frames_tx,
+                            ) {
+                                Ok(leg) => legs.push(Some(leg)),
+                                Err(failure) => book(inner, sibling, &failure),
+                            }
+                        }
+                        continue;
+                    }
+                }
+                if job.deadline_at.is_some_and(|d| now >= d) {
+                    // Every replica still open stalled until the deadline.
+                    for leg in legs.iter_mut().filter_map(Option::take) {
+                        book(inner, leg.ordinal, &Failure::Deadline);
+                    }
+                    return AttemptEnd::Failed(Failure::Deadline);
+                }
+                expire(inner, legs);
+                if carrying(legs, winner) {
+                    continue;
+                }
+                return AttemptEnd::Failed(verdict(failed, Failure::Retryable(None)));
+            }
+        };
+        let Some(leg) = legs[index].as_mut() else {
+            // A hung-up leg's last frames.
+            continue;
+        };
+        if progress.abandoned() {
+            return AttemptEnd::Abandoned;
+        }
+        if winner.is_some_and(|w| w != index) {
+            settle_loser(inner, legs, index, frame);
+            continue;
+        }
+        leg.heard = true;
+        if job.forward {
+            leg.expires = Instant::now() + inner.cfg.request_timeout;
+        }
+        let (ordinal, opened) = (leg.ordinal, leg.opened);
+        let failure = match frame {
             Ok(Msg::Progress {
                 cells_done,
                 cells_total,
                 ..
-            }) => progress.set(slice as usize, cells_done, cells_total),
-            Ok(Msg::Fin {
-                digest, fidelity, ..
             }) => {
-                progress.finish(slice as usize);
-                if digest != ranking_digest(merged) {
-                    // The fold should always agree with the shard's
-                    // own final ranking; a mismatch is a bug worth an
+                progress.set(slice, cells_done, cells_total);
+                continue;
+            }
+            Ok(Msg::StreamChunk { cursor, hits, .. }) => {
+                if cursor > fold.delivered {
+                    fold.merged.extend(hits.iter().cloned());
+                    fold.merged = rank_hits(std::mem::take(&mut fold.merged), job.top_k);
+                    if job.forward {
+                        let bytes = chunk_bytes(&hits);
+                        buffered_add(&inner.stream, bytes);
+                        let slice = slice as u32;
+                        if out
+                            .send(StreamItem::Chunk {
+                                slice,
+                                cursor,
+                                hits,
+                            })
+                            .is_err()
+                        {
+                            // Client buffer gone; the chunk was never
+                            // delivered, so it no longer counts as
+                            // buffered either.
+                            buffered_sub(&inner.stream, bytes);
+                            return AttemptEnd::Abandoned;
+                        }
+                        inner.stream.chunks.inc();
+                    }
+                    fold.delivered = cursor;
+                }
+                // Grant one credit per chunk consumed — a deduplicated
+                // replay still spent shard credit to arrive.
+                let leg = legs[index].as_mut().expect("live leg");
+                let granted = write_msg(
+                    &mut leg.socket,
+                    &Msg::Credit {
+                        id: job.id,
+                        credits: 1,
+                    },
+                );
+                if winner.is_none() {
+                    // First delivery: this replica carries the slice.
+                    winner = Some(index);
+                    hedge_at = None;
+                    for (i, other) in legs.iter_mut().enumerate() {
+                        if i != index && other.as_ref().is_some_and(|leg| leg.heard) {
+                            *other = None;
+                        }
+                    }
+                }
+                if granted.is_ok() {
+                    continue;
+                }
+                Failure::Retryable(None)
+            }
+            Ok(Msg::Fin {
+                digest,
+                fidelity,
+                mut timing,
+                ..
+            }) => {
+                progress.finish(slice);
+                if digest != ranking_digest(&fold.merged) {
+                    // The fold should always agree with the shard's own
+                    // final ranking; a mismatch is a bug worth an
                     // alertable breadcrumb, not a query failure.
                     swsimd_obs::event!(
                         "stream_digest_mismatch",
                         "slice" => slice,
                         "shard_digest" => digest,
-                        "fold_digest" => ranking_digest(merged)
+                        "fold_digest" => ranking_digest(&fold.merged)
                     );
                 }
-                return StreamAttemptEnd::Done(fidelity);
-            }
-            Ok(Msg::Error { err, .. }) => {
-                return match classify(err) {
-                    Attempt::Fatal(e) => StreamAttemptEnd::Fatal(e),
-                    Attempt::Draining => StreamAttemptEnd::Draining,
-                    Attempt::Retryable(hint) => StreamAttemptEnd::Retryable(hint),
-                    Attempt::Ok(..) => StreamAttemptEnd::Retryable(None),
+                // Only the gateway can observe the round trip; stamp it
+                // onto the shard's timing summary.
+                let rtt = opened.elapsed();
+                if let Some(t) = &mut timing {
+                    t.rtt_ns = rtt.as_nanos() as u64;
                 }
+                let replica = &inner.replicas[ordinal];
+                // The hedge delay is read off this histogram, so it
+                // takes one-shot round trips only: a stream's also
+                // holds its client's credit stalls.
+                if !job.forward {
+                    replica.metrics.rtt.record_duration(rtt);
+                }
+                lock_ok(&replica.breaker).record_success();
+                return AttemptEnd::Done(fidelity, timing);
             }
-            // A non-stream kind is a confused peer: reconnect.
-            Ok(_) => return StreamAttemptEnd::Retryable(None),
-            Err(WireError::BadCrc { want, got }) => {
-                swsimd_obs::event!("reply_crc_mismatch", "want" => want, "got" => got);
-                return StreamAttemptEnd::Retryable(None);
-            }
-            Err(_) => return StreamAttemptEnd::Retryable(None),
+            frame => failure_of(frame),
+        };
+        book(inner, ordinal, &failure);
+        legs[index] = None;
+        if matches!(failure, Failure::Fatal(_)) || !carrying(legs, winner) {
+            return AttemptEnd::Failed(verdict(failed, failure));
+        }
+        failed = Some(failure);
+    }
+}
+
+/// The failure a replica's frame reports when it is neither a
+/// heartbeat, a chunk nor a `Fin`.
+fn failure_of(frame: Result<Msg, WireError>) -> Failure {
+    match frame {
+        Ok(Msg::Error { err, .. }) => classify(err),
+        // A non-stream kind is a confused peer: don't trust it again
+        // this attempt.
+        Ok(_) => Failure::Retryable(None),
+        // Torn frames, bit flips, resets: all retryable.
+        Err(WireError::BadCrc { want, got }) => {
+            swsimd_obs::event!("reply_crc_mismatch", "want" => want, "got" => got);
+            Failure::Retryable(None)
+        }
+        Err(_) => Failure::Retryable(None),
+    }
+}
+
+/// A replica that lost the race spoke up: it is alive, so it is hung
+/// up on without a strike, unless what it said is a failure.
+fn settle_loser(
+    inner: &GatewayInner,
+    legs: &mut [Option<Leg>],
+    index: usize,
+    frame: Result<Msg, WireError>,
+) {
+    let Some(leg) = legs[index].take() else {
+        return;
+    };
+    if !matches!(
+        frame,
+        Ok(Msg::Progress { .. } | Msg::StreamChunk { .. } | Msg::Fin { .. })
+    ) {
+        book(inner, leg.ordinal, &failure_of(frame));
+    }
+}
+
+/// Strike and hang up on every replica silent past its `expires`.
+fn expire(inner: &GatewayInner, legs: &mut [Option<Leg>]) {
+    let now = Instant::now();
+    for slot in legs {
+        if slot.as_ref().is_some_and(|leg| leg.expires <= now) {
+            let leg = slot.take().expect("checked above");
+            book(inner, leg.ordinal, &Failure::Retryable(None));
         }
     }
 }
 
-/// Launch the primary attempt; if no reply lands within the hedge
-/// delay and a sibling exists, launch a duplicate and take the first
-/// answer. Each attempt thread does its own breaker/metric
-/// bookkeeping, so the loser's late result still updates state.
-#[allow(clippy::too_many_arguments)] // attempt context travels together
-fn attempt_with_hedge(
-    inner: &Arc<GatewayInner>,
-    primary: usize,
-    hedge: Option<usize>,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-    flight: &QueryFlight,
-) -> Attempt {
-    let (tx, rx) = mpsc::channel();
-    spawn_attempt(
-        inner,
-        primary,
-        id,
-        tenant,
-        query,
-        top_k,
-        deadline_at,
-        ctx,
-        tx.clone(),
-    );
-
-    let hedge_delay = hedge.and_then(|_| effective_hedge_delay(inner, primary));
-    let mut launched = 1;
-    let first = match hedge_delay {
-        Some(delay) => match rx.recv_timeout(delay) {
-            Ok(outcome) => Some(outcome),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                let sibling = hedge.expect("hedge_delay implies sibling");
-                inner.metrics.hedges.inc();
-                flight.hedges.fetch_add(1, Ordering::Relaxed);
-                swsimd_obs::event!(
-                    "hedged_request",
-                    "primary" => primary,
-                    "sibling" => sibling
-                );
-                spawn_attempt(
-                    inner,
-                    sibling,
-                    id,
-                    tenant,
-                    query,
-                    top_k,
-                    deadline_at,
-                    ctx,
-                    tx.clone(),
-                );
-                launched = 2;
-                None
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => None,
-        },
-        None => None,
+/// Breaker bookkeeping for one replica's failed conversation. A fatal
+/// error is the query's fault, not the replica's: no strike. A replica
+/// that said it is leaving stops receiving traffic right away rather
+/// than strike by strike.
+fn book(inner: &GatewayInner, ordinal: usize, failure: &Failure) {
+    let replica = &inner.replicas[ordinal];
+    let opened = match failure {
+        Failure::Fatal(_) => return,
+        Failure::Draining => {
+            inner.metrics.draining_replies.inc();
+            lock_ok(&replica.breaker).force_open()
+        }
+        Failure::Retryable(_) | Failure::Deadline => lock_ok(&replica.breaker).record_failure(),
     };
-    drop(tx);
-
-    let mut results = Vec::new();
-    if let Some(outcome) = first {
-        results.push(outcome);
-    }
-    // Take the first success; otherwise drain what was launched.
-    while results
-        .iter()
-        .filter(|r| !matches!(r, Attempt::Ok(..)))
-        .count()
-        == results.len()
-        && results.len() < launched
-    {
-        match rx.recv() {
-            Ok(outcome) => results.push(outcome),
-            Err(_) => break,
-        }
-    }
-    // Prefer success, then fatal (definitive), then retryable. A
-    // draining reply folds into retryable here — its breaker is
-    // already force-open, so the next attempt picks a live sibling.
-    let mut hint_ms: Option<u64> = None;
-    let mut fatal = None;
-    for outcome in results {
-        match outcome {
-            Attempt::Ok(hits, timing, fidelity) => return Attempt::Ok(hits, timing, fidelity),
-            Attempt::Fatal(e) => fatal = Some(e),
-            Attempt::Draining => {}
-            Attempt::Retryable(hint) => {
-                // Back off by the most pessimistic hint any replica
-                // attached.
-                hint_ms = hint_ms.max(hint);
-            }
-        }
-    }
-    match fatal {
-        Some(e) => Attempt::Fatal(e),
-        None => Attempt::Retryable(hint_ms),
+    if opened {
+        replica.metrics.down_total.inc();
+        replica.metrics.up.set(0);
+        let draining = matches!(failure, Failure::Draining);
+        swsimd_obs::event!("shard_breaker_open", "replica" => ordinal, "draining" => draining);
     }
 }
 
@@ -1557,145 +1581,11 @@ fn effective_hedge_delay(inner: &GatewayInner, primary: usize) -> Option<Duratio
     }
 }
 
-#[allow(clippy::too_many_arguments)] // attempt context travels together
-fn spawn_attempt(
-    inner: &Arc<GatewayInner>,
-    ordinal: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-    tx: mpsc::Sender<Attempt>,
-) {
-    let inner = Arc::clone(inner);
-    let query = query.to_vec();
-    let tenant = tenant.to_string();
-    std::thread::spawn(move || {
-        let started = Instant::now();
-        inner.replicas[ordinal].metrics.inflight.inc();
-        let mut outcome = attempt_once(
-            &inner,
-            ordinal,
-            id,
-            &tenant,
-            &query,
-            top_k,
-            deadline_at,
-            ctx,
-        );
-        let rtt = started.elapsed();
-        let replica = &inner.replicas[ordinal];
-        replica.metrics.inflight.dec();
-        // Only the gateway can observe the round trip; stamp it onto
-        // the shard's timing summary for the stitched breakdown.
-        if let Attempt::Ok(_, Some(timing), _) = &mut outcome {
-            timing.rtt_ns = rtt.as_nanos() as u64;
-        }
-        match &outcome {
-            Attempt::Ok(..) => {
-                replica.metrics.rtt.record_duration(rtt);
-                lock_ok(&replica.breaker).record_success();
-            }
-            // Fatal outcomes are the *query's* fault, not the
-            // replica's — no strike.
-            Attempt::Fatal(_) => {}
-            // The replica said it is leaving: stop routing to it right
-            // now rather than strike-by-strike.
-            Attempt::Draining => {
-                inner.metrics.draining_replies.inc();
-                let opened = lock_ok(&replica.breaker).force_open();
-                if opened {
-                    replica.metrics.down_total.inc();
-                    replica.metrics.up.set(0);
-                    swsimd_obs::event!("shard_draining_unrouted", "replica" => ordinal);
-                }
-            }
-            Attempt::Retryable(_) => {
-                let opened = lock_ok(&replica.breaker).record_failure();
-                if opened {
-                    replica.metrics.down_total.inc();
-                    replica.metrics.up.set(0);
-                    swsimd_obs::event!("shard_breaker_open", "replica" => ordinal);
-                }
-            }
-        }
-        let _ = tx.send(outcome);
-    });
-}
-
-#[allow(clippy::too_many_arguments)] // attempt context travels together
-fn attempt_once(
-    inner: &GatewayInner,
-    ordinal: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-) -> Attempt {
-    let replica = &inner.replicas[ordinal];
-    let Some(deadline_ms) = budget_ms(deadline_at) else {
-        return Attempt::Fatal(RemoteError::Serve(ServeError::DeadlineExceeded));
-    };
-    if inner.cfg.fault.before_connect(ordinal).is_err() {
-        return Attempt::Retryable(None);
-    }
-    let Ok(addr) = resolve(&replica.addr) else {
-        return Attempt::Retryable(None);
-    };
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout) else {
-        return Attempt::Retryable(None);
-    };
-    let _ = stream.set_nodelay(true);
-    let mut read_timeout = inner.cfg.request_timeout;
-    if let Some(d) = deadline_at {
-        read_timeout = read_timeout.min(d.saturating_duration_since(Instant::now()));
-    }
-    if read_timeout.is_zero() {
-        return Attempt::Fatal(RemoteError::Serve(ServeError::DeadlineExceeded));
-    }
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let msg = Msg::Query {
-        id,
-        top_k: top_k as u32,
-        deadline_ms,
-        slice_index: replica.slice,
-        slice_count: inner.groups.len() as u32,
-        query: query.to_vec(),
-        trace: ctx,
-        tenant: tenant.to_string(),
-    };
-    if write_msg(&mut stream, &msg).is_err() {
-        return Attempt::Retryable(None);
-    }
-    match read_msg(&mut stream) {
-        Ok(Msg::Hits {
-            hits,
-            timing,
-            fidelity,
-            ..
-        }) => Attempt::Ok(hits, timing, fidelity),
-        Ok(Msg::Error { err, .. }) => classify(err),
-        // A non-answer kind is a confused peer: don't trust it again
-        // this attempt.
-        Ok(_) => Attempt::Retryable(None),
-        // Torn frames, bit flips, timeouts, resets: all retryable.
-        Err(WireError::BadCrc { want, got }) => {
-            swsimd_obs::event!("reply_crc_mismatch", "want" => want, "got" => got);
-            Attempt::Retryable(None)
-        }
-        Err(_) => Attempt::Retryable(None),
-    }
-}
-
 /// Fatal errors fail the query; everything else earns a retry. A
 /// shard-side overload rejection (shed or rate-limited) attaches its
 /// `retry_after_ms` hint so the retry sleeps what the shard asked
 /// for, not the generic schedule.
-fn classify(err: RemoteError) -> Attempt {
+fn classify(err: RemoteError) -> Failure {
     use ServeError as S;
     match &err {
         RemoteError::Serve(S::InvalidQuery(_))
@@ -1707,17 +1597,17 @@ fn classify(err: RemoteError) -> Attempt {
         // A rejected resume token means the caller's cursor state does
         // not describe this query; replaying the same token elsewhere
         // cannot succeed either.
-        | RemoteError::BadResumeToken => Attempt::Fatal(err),
+        | RemoteError::BadResumeToken => Failure::Fatal(err),
         RemoteError::Serve(S::QueueFull { .. }) | RemoteError::Serve(S::RateLimited { .. }) => {
-            Attempt::Retryable(err.retry_after_ms())
+            Failure::Retryable(err.retry_after_ms())
         }
         // A draining peer *announced* its departure: force the breaker
         // open instead of burning strikes (and retries) discovering it.
-        RemoteError::Draining => Attempt::Draining,
+        RemoteError::Draining => Failure::Draining,
         RemoteError::Serve(S::ShutDown)
         | RemoteError::Serve(S::WorkerPanicked)
         | RemoteError::WrongShard { .. }
-        | RemoteError::Unavailable => Attempt::Retryable(None),
+        | RemoteError::Unavailable => Failure::Retryable(None),
     }
 }
 
@@ -1729,17 +1619,17 @@ mod tests {
     fn classify_splits_fatal_from_retryable() {
         assert!(matches!(
             classify(RemoteError::Serve(ServeError::DeadlineExceeded)),
-            Attempt::Fatal(_)
+            Failure::Fatal(_)
         ));
         assert!(matches!(
             classify(RemoteError::Serve(ServeError::QueryTooLarge {
                 len: 2,
                 limit: 1
             })),
-            Attempt::Fatal(_)
+            Failure::Fatal(_)
         ));
         assert!(
-            matches!(classify(RemoteError::BadResumeToken), Attempt::Fatal(_)),
+            matches!(classify(RemoteError::BadResumeToken), Failure::Fatal(_)),
             "a rejected resume token cannot be fixed by retrying"
         );
         for retryable in [
@@ -1748,11 +1638,11 @@ mod tests {
             RemoteError::WrongShard { got: 0, want: 1 },
             RemoteError::Unavailable,
         ] {
-            assert!(matches!(classify(retryable), Attempt::Retryable(None)));
+            assert!(matches!(classify(retryable), Failure::Retryable(None)));
         }
         // An announced departure is its own class: the breaker is
         // force-opened instead of accumulating strikes.
-        assert!(matches!(classify(RemoteError::Draining), Attempt::Draining));
+        assert!(matches!(classify(RemoteError::Draining), Failure::Draining));
     }
 
     /// Overload rejections retry with the shard's own backoff hint.
@@ -1762,20 +1652,20 @@ mod tests {
             classify(RemoteError::Serve(ServeError::QueueFull {
                 retry_after_ms: 40
             })),
-            Attempt::Retryable(Some(40))
+            Failure::Retryable(Some(40))
         ));
         assert!(matches!(
             classify(RemoteError::Serve(ServeError::RateLimited {
                 retry_after_ms: 900
             })),
-            Attempt::Retryable(Some(900))
+            Failure::Retryable(Some(900))
         ));
         // A hint-less shed from an old peer still retries.
         assert!(matches!(
             classify(RemoteError::Serve(ServeError::QueueFull {
                 retry_after_ms: 0
             })),
-            Attempt::Retryable(Some(0))
+            Failure::Retryable(Some(0))
         ));
     }
 

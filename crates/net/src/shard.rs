@@ -351,11 +351,10 @@ fn serve_conn(stream: TcpStream, shared: &Arc<ShardShared>) {
                     trace,
                     tenant,
                 };
-                match handle_query(&mut conn, shared, req) {
-                    Some(reply) => reply,
-                    // Client dropped mid-compute: nobody to answer.
-                    None => return,
+                if !serve_query(&mut conn, shared, req, Answer::Hits) {
+                    return;
                 }
+                continue;
             }
             Msg::StreamQuery {
                 id,
@@ -379,7 +378,11 @@ fn serve_conn(stream: TcpStream, shared: &Arc<ShardShared>) {
                     trace,
                     tenant,
                 };
-                if !handle_stream_query(&mut conn, shared, req, credit, cursor) {
+                let answer = Answer::Stream {
+                    credit,
+                    resume: cursor,
+                };
+                if !serve_query(&mut conn, shared, req, answer) {
                     return;
                 }
                 conn.finish_stream(id);
@@ -463,129 +466,63 @@ fn globalize(shared: &ShardShared, mut hits: Vec<Hit>, top_k: usize) -> Vec<Hit>
     rank_hits(hits, top_k)
 }
 
-fn handle_query(conn: &mut ShardConn, shared: &Arc<ShardShared>, req: Req) -> Option<Msg> {
-    if let Some(refusal) = req.refusal(shared) {
-        return Some(refusal);
+/// How a query's answer goes back to the peer.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// A [`Msg::StreamQuery`]: chunks `credit` ahead of the client's
+    /// grants, skipping chunks at or below `resume` (delivered before an
+    /// interruption), `Progress` heartbeats, then `Fin`.
+    Stream { credit: u32, resume: u64 },
+    /// A plain [`Msg::Query`]: the same run with unbounded credit and no
+    /// heartbeats, rendered as one `Hits` frame.
+    Hits,
+}
+
+/// The timing summary a shard sends with its answer; `rtt_ns` is filled
+/// in by the gateway, the only side that can observe it.
+fn shard_timing(
+    shared: &ShardShared,
+    span: &swsimd_obs::Span,
+    outcome: &QueryOutcome,
+) -> ShardTiming {
+    ShardTiming {
+        shard: shared.shard_index,
+        root_span: span.id(),
+        engine: outcome.engine.to_string(),
+        rtt_ns: 0,
+        stages: vec![
+            StageTiming {
+                stage: Stage::Queue,
+                ns: outcome.queue_ns,
+            },
+            StageTiming {
+                stage: Stage::Kernel,
+                ns: outcome.compute_ns,
+            },
+        ],
     }
+}
+
+/// Serve one query on this connection and answer it as `answer` asks.
+/// Returns true when the connection may serve its next request, false
+/// when it must close (peer gone, protocol violation, or an injected
+/// tear).
+fn serve_query(conn: &mut ShardConn, shared: &Arc<ShardShared>, req: Req, answer: Answer) -> bool {
+    if let Some(refusal) = req.refusal(shared) {
+        return write_reply(&mut conn.stream, shared, &refusal);
+    }
+    let (stream, credit, resume_cursor) = match answer {
+        Answer::Stream { credit, resume } => (true, u64::from(credit), resume),
+        Answer::Hits => (false, u64::MAX, 0),
+    };
     let _guard = shared.in_flight.enter();
     // Adopt the trace context that crossed the wire: the shard-side
     // span tree (this root, then the batch server's kernel spans)
     // parents under the gateway's request span, stitching one
     // distributed tree keyed by the shared trace id.
     let _adopt = swsimd_obs::adopt(req.trace);
-    let mut span = swsimd_obs::span!("shard_query", "shard" => shared.shard_index, "id" => req.id);
-    let ctx = child_ctx(req.trace, &span);
-    let (id, top_k, trace_id) = (req.id, req.top_k as usize, req.trace.trace_id);
-    let deadline = req.deadline();
-    let token = match submit(
-        conn,
-        shared,
-        &req.tenant,
-        req.query,
-        top_k,
-        deadline,
-        ctx,
-        false,
-    ) {
-        Ok(token) => token,
-        Err(e) => {
-            return Some(Msg::Error {
-                id,
-                err: RemoteError::Serve(e),
-            })
-        }
-    };
-
-    let result = loop {
-        match conn.recv() {
-            Event::Work(StreamEv::Done(result)) => break result,
-            Event::Work(StreamEv::Chunk(..)) => {}
-            Event::Closed if shared.stopping.load(Ordering::Acquire) => {
-                token.cancel(CancelReason::Shutdown);
-                shared.cancelled.record(CancelReason::Shutdown);
-                return Some(Msg::Error {
-                    id,
-                    err: RemoteError::Serve(ServeError::ShutDown),
-                });
-            }
-            // The real socket disconnect IS the cancellation signal. A
-            // frame before the reply breaks the request-response
-            // discipline: the client is treated as gone.
-            Event::Closed | Event::Frame(_) => {
-                token.cancel(CancelReason::ClientDrop);
-                shared.cancelled.record(CancelReason::ClientDrop);
-                swsimd_obs::event!("net_client_drop", "id" => id);
-                return None;
-            }
-        }
-    };
-
-    Some(match result {
-        Ok(outcome) => {
-            let hits = globalize(shared, outcome.hits, top_k);
-            span.record("engine", outcome.engine);
-            span.record("retries", outcome.retries as u64);
-            // Per-shard timing summary rides back on the reply so the
-            // gateway can stitch a complete stage breakdown without a
-            // second round trip (rtt_ns is filled in by the gateway,
-            // which is the only side that can observe it).
-            let timing = ShardTiming {
-                shard: shared.shard_index,
-                root_span: span.id(),
-                engine: outcome.engine.to_string(),
-                rtt_ns: 0,
-                stages: vec![
-                    StageTiming {
-                        stage: Stage::Queue,
-                        ns: outcome.queue_ns,
-                    },
-                    StageTiming {
-                        stage: Stage::Kernel,
-                        ns: outcome.compute_ns,
-                    },
-                ],
-            };
-            Msg::Hits {
-                id,
-                degraded: false,
-                missing_shards: Vec::new(),
-                hits,
-                trace_id,
-                timing: Some(timing),
-                fidelity: outcome.fidelity,
-            }
-        }
-        Err(e) => {
-            if e == ServeError::DeadlineExceeded {
-                shared.cancelled.record(CancelReason::Deadline);
-            }
-            Msg::Error {
-                id,
-                err: RemoteError::Serve(e),
-            }
-        }
-    })
-}
-
-/// Serve one streamed query on this connection, `credit` chunks ahead
-/// of the client's grants and skipping chunks at or below
-/// `resume_cursor`. Returns true when the connection may continue
-/// serving requests, false when it must close (peer gone, protocol
-/// violation, or an injected tear).
-fn handle_stream_query(
-    conn: &mut ShardConn,
-    shared: &Arc<ShardShared>,
-    req: Req,
-    credit: u32,
-    resume_cursor: u64,
-) -> bool {
-    if let Some(refusal) = req.refusal(shared) {
-        return write_reply(&mut conn.stream, shared, &refusal);
-    }
-    let _guard = shared.in_flight.enter();
-    let _adopt = swsimd_obs::adopt(req.trace);
     let mut span = swsimd_obs::span!(
-        "shard_stream",
+        "shard_query",
         "shard" => shared.shard_index,
         "id" => req.id,
         "cursor" => resume_cursor
@@ -625,7 +562,7 @@ fn handle_stream_query(
         top_k,
         deadline,
         ctx,
-        true,
+        stream,
     ) {
         Ok(token) => token,
         Err(e) => {
@@ -636,7 +573,7 @@ fn handle_stream_query(
 
     let mut queued: std::collections::VecDeque<(u64, Vec<Hit>)> = std::collections::VecDeque::new();
     let mut done: Option<Result<QueryOutcome, ServeError>> = None;
-    let mut credit_left = u64::from(credit);
+    let mut credit_left = credit;
     let mut stall_counted = false;
     let mut cells_done: u64 = 0;
     let mut next_beat = Instant::now() + STREAM_HEARTBEAT;
@@ -644,8 +581,10 @@ fn handle_stream_query(
     let abandon = |reason: AbandonReason, cancel: CancelReason| {
         token.cancel(cancel);
         shared.cancelled.record(cancel);
-        shared.stream.abandon(reason);
-        swsimd_obs::event!("stream_abandoned", "id" => id, "reason" => reason.as_str());
+        if stream {
+            shared.stream.abandon(reason);
+        }
+        swsimd_obs::event!("query_abandoned", "id" => id, "reason" => reason.as_str());
     };
 
     loop {
@@ -688,23 +627,40 @@ fn handle_stream_query(
             if let Some(result) = done.take() {
                 let last = match result {
                     Ok(outcome) => {
+                        let timing = Some(shard_timing(shared, &span, &outcome));
                         let hits = globalize(shared, outcome.hits, top_k);
                         span.record("engine", outcome.engine);
+                        span.record("retries", outcome.retries as u64);
                         span.record("chunks", sent_chunks);
-                        Msg::Fin {
-                            id,
-                            digest: ranking_digest(&hits),
-                            degraded: false,
-                            missing_shards: Vec::new(),
-                            trace_id,
-                            fidelity: outcome.fidelity,
+                        if stream {
+                            Msg::Fin {
+                                id,
+                                digest: ranking_digest(&hits),
+                                degraded: false,
+                                missing_shards: Vec::new(),
+                                trace_id,
+                                timing,
+                                fidelity: outcome.fidelity,
+                            }
+                        } else {
+                            Msg::Hits {
+                                id,
+                                degraded: false,
+                                missing_shards: Vec::new(),
+                                hits,
+                                trace_id,
+                                timing,
+                                fidelity: outcome.fidelity,
+                            }
                         }
                     }
                     Err(e) => {
                         if e == ServeError::DeadlineExceeded {
                             shared.cancelled.record(CancelReason::Deadline);
                         }
-                        shared.stream.abandon(AbandonReason::Error);
+                        if stream {
+                            shared.stream.abandon(AbandonReason::Error);
+                        }
                         Msg::Error {
                             id,
                             err: RemoteError::Serve(e),
@@ -715,14 +671,15 @@ fn handle_stream_query(
             }
         }
 
-        // 3. Heartbeat when nothing else proved liveness recently.
+        // 3. Heartbeat a stream when nothing else proved liveness
+        //    recently.
         if Instant::now() >= next_beat {
             let beat = Msg::Progress {
                 id,
                 cells_done,
                 cells_total,
             };
-            if !write_reply(&mut conn.stream, shared, &beat) {
+            if stream && !write_reply(&mut conn.stream, shared, &beat) {
                 abandon(AbandonReason::ClientDrop, CancelReason::ClientDrop);
                 return false;
             }
@@ -737,7 +694,7 @@ fn handle_stream_query(
             Some(Event::Work(StreamEv::Done(result))) => {
                 // Without a journal there are no checkpoint boundaries
                 // to align to: stream degenerately as one chunk + Fin.
-                if let (false, Ok(outcome)) = (durable, &result) {
+                if let (true, false, Ok(outcome)) = (stream, durable, &result) {
                     queued.push_back((1, globalize(shared, outcome.hits.clone(), top_k)));
                     cells_done = cells_total;
                 }
@@ -745,11 +702,12 @@ fn handle_stream_query(
             }
             // Credit grants are the only frames a stream client
             // legally sends mid-stream.
-            Some(Event::Frame(Msg::Credit { id: cid, credits })) if cid == id => {
+            Some(Event::Frame(Msg::Credit { id: cid, credits })) if stream && cid == id => {
                 credit_left += u64::from(credits);
                 stall_counted = false;
             }
-            // Protocol violation or torn frame mid-stream: the
+            // Protocol violation or torn frame mid-query (a one-shot
+            // client may send nothing before its reply): the
             // connection state is unrecoverable.
             Some(Event::Frame(_)) => {
                 abandon(AbandonReason::Error, CancelReason::ClientDrop);
@@ -761,7 +719,8 @@ fn handle_stream_query(
                 let _ = write_reply(&mut conn.stream, shared, &Msg::Error { id, err });
                 return false;
             }
-            // The journal stays on disk: this stream is resumable.
+            // The real socket disconnect IS the cancellation signal; a
+            // durable job's journal stays on disk, so it is resumable.
             Some(Event::Closed) => {
                 abandon(AbandonReason::ClientDrop, CancelReason::ClientDrop);
                 return false;

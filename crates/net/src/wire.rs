@@ -30,7 +30,7 @@
 use std::io::{self, Read, Write};
 
 use swsimd_core::{AlignError, Hit, Precision};
-use swsimd_obs::flight::{AuditRecord, ShardTiming, Stage, StageTiming};
+use swsimd_obs::flight::{AuditRecord, ShardTiming};
 use swsimd_obs::trace::TraceCtx;
 use swsimd_runner::{Fidelity, ServeError, MAX_TENANT_LEN};
 use swsimd_seq::integrity::crc32;
@@ -571,6 +571,9 @@ pub enum Msg {
         missing_shards: Vec<u32>,
         /// Trace id this stream belongs to (extension; 0 = untraced).
         trace_id: u64,
+        /// Responder's timing summary (extension, as on [`Msg::Hits`]:
+        /// shards fill it in, the gateway stamps `rtt_ns`).
+        timing: Option<ShardTiming>,
         /// Fidelity the stream was served at (extension).
         fidelity: Fidelity,
     },
@@ -709,137 +712,14 @@ fn read_exts(
     Ok(())
 }
 
-fn push_len_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let n = bytes.len().min(u8::MAX as usize);
-    out.push(n as u8);
-    out.extend_from_slice(&bytes[..n]);
-}
-
-fn read_len_str(r: &mut Reader<'_>, what: &'static str) -> Result<String, WireError> {
-    let n = r.u8(what)? as usize;
-    let bytes = r.take(n, what)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed(what))
-}
-
-fn push_stage_timings(out: &mut Vec<u8>, stages: &[StageTiming]) {
-    out.push(stages.len().min(u8::MAX as usize) as u8);
-    for st in stages.iter().take(u8::MAX as usize) {
-        out.push(st.stage.as_u8());
-        out.extend_from_slice(&st.ns.to_le_bytes());
-    }
-}
-
-/// Unknown stage tags (from a newer peer) are skipped, not rejected.
-fn read_stage_timings(r: &mut Reader<'_>) -> Result<Vec<StageTiming>, WireError> {
-    let n = r.u8("stage count")? as usize;
-    let mut stages = Vec::with_capacity(n.min(Stage::ALL.len()));
-    for _ in 0..n {
-        let tag = r.u8("stage tag")?;
-        let ns = r.u64("stage ns")?;
-        if let Some(stage) = Stage::from_u8(tag) {
-            stages.push(StageTiming { stage, ns });
-        }
-    }
-    Ok(stages)
-}
-
 fn encode_shard_timing(t: &ShardTiming) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    out.extend_from_slice(&t.shard.to_le_bytes());
-    out.extend_from_slice(&t.root_span.to_le_bytes());
-    out.extend_from_slice(&t.rtt_ns.to_le_bytes());
-    push_len_str(&mut out, &t.engine);
-    push_stage_timings(&mut out, &t.stages);
+    t.encode(&mut out);
     out
 }
 
 fn decode_shard_timing(bytes: &[u8]) -> Result<ShardTiming, WireError> {
-    let mut r = Reader { buf: bytes };
-    let shard = r.u32("timing shard")?;
-    let root_span = r.u64("timing root span")?;
-    let rtt_ns = r.u64("timing rtt")?;
-    let engine = read_len_str(&mut r, "timing engine")?;
-    let stages = read_stage_timings(&mut r)?;
-    // Deliberately no `done()`: a newer peer may append fields.
-    Ok(ShardTiming {
-        shard,
-        root_span,
-        engine,
-        rtt_ns,
-        stages,
-    })
-}
-
-const AUDIT_FLAG_OK: u8 = 1;
-const AUDIT_FLAG_DEGRADED: u8 = 2;
-
-fn encode_audit(rec: &AuditRecord, out: &mut Vec<u8>) {
-    out.extend_from_slice(&rec.trace_id.to_le_bytes());
-    out.extend_from_slice(&rec.query_id.to_le_bytes());
-    out.extend_from_slice(&rec.total_ns.to_le_bytes());
-    out.extend_from_slice(&rec.cost.to_le_bytes());
-    out.extend_from_slice(&rec.retries.to_le_bytes());
-    out.extend_from_slice(&rec.hedges.to_le_bytes());
-    let mut flags = 0u8;
-    if rec.ok {
-        flags |= AUDIT_FLAG_OK;
-    }
-    if rec.degraded {
-        flags |= AUDIT_FLAG_DEGRADED;
-    }
-    out.push(flags);
-    push_len_str(out, &rec.engine);
-    push_len_str(out, &rec.cancel);
-    push_stage_timings(out, &rec.stages);
-    out.push(rec.shards.len().min(u8::MAX as usize) as u8);
-    for sh in rec.shards.iter().take(u8::MAX as usize) {
-        let body = encode_shard_timing(sh);
-        out.extend_from_slice(&(body.len() as u16).to_le_bytes());
-        out.extend_from_slice(&body);
-    }
-    push_len_str(out, &rec.tenant);
-}
-
-fn decode_audit(r: &mut Reader<'_>) -> Result<AuditRecord, WireError> {
-    let trace_id = r.u64("audit trace id")?;
-    let query_id = r.u64("audit query id")?;
-    let total_ns = r.u64("audit total")?;
-    let cost = r.u64("audit cost")?;
-    let retries = r.u32("audit retries")?;
-    let hedges = r.u32("audit hedges")?;
-    let flags = r.u8("audit flags")?;
-    let engine = read_len_str(r, "audit engine")?;
-    let cancel = read_len_str(r, "audit cancel")?;
-    let stages = read_stage_timings(r)?;
-    let n_shards = r.u8("audit shard count")? as usize;
-    let mut shards = Vec::with_capacity(n_shards.min(64));
-    for _ in 0..n_shards {
-        let len = r.u16("audit shard timing length")? as usize;
-        shards.push(decode_shard_timing(r.take(len, "audit shard timing")?)?);
-    }
-    // Tenant was appended to the record in a later protocol revision;
-    // a record from an older peer simply ends here (empty = unknown).
-    let tenant = if r.buf.is_empty() {
-        String::new()
-    } else {
-        read_len_str(r, "audit tenant")?
-    };
-    Ok(AuditRecord {
-        trace_id,
-        query_id,
-        total_ns,
-        stages,
-        shards,
-        engine,
-        retries,
-        hedges,
-        degraded: flags & AUDIT_FLAG_DEGRADED != 0,
-        cost,
-        cancel,
-        ok: flags & AUDIT_FLAG_OK != 0,
-        tenant,
-    })
+    ShardTiming::decode(bytes).map_err(WireError::Malformed)
 }
 
 impl Msg {
@@ -955,7 +835,7 @@ impl Msg {
                 out.push(KIND_FLIGHT_RECORDS);
                 out.extend_from_slice(&(records.len() as u32).to_le_bytes());
                 for rec in records {
-                    encode_audit(rec, &mut out);
+                    rec.encode(&mut out);
                 }
             }
             Msg::FlightJsonRequest {
@@ -1079,6 +959,7 @@ impl Msg {
                 degraded,
                 missing_shards,
                 trace_id,
+                timing,
                 fidelity,
             } => {
                 out.push(KIND_FIN);
@@ -1091,6 +972,9 @@ impl Msg {
                 }
                 if *trace_id != 0 {
                     push_ext(&mut out, EXT_TRACE_ID, &trace_id.to_le_bytes());
+                }
+                if let Some(t) = timing {
+                    push_ext(&mut out, EXT_SHARD_TIMING, &encode_shard_timing(t));
                 }
                 if *fidelity != Fidelity::Full {
                     push_ext(&mut out, EXT_FIDELITY, &[fidelity.as_u8()]);
@@ -1255,7 +1139,7 @@ impl Msg {
                 }
                 let mut records = Vec::with_capacity(n);
                 for _ in 0..n {
-                    records.push(decode_audit(&mut r)?);
+                    records.push(AuditRecord::decode(&mut r.buf).map_err(WireError::Malformed)?);
                 }
                 Msg::FlightRecords { records }
             }
@@ -1426,6 +1310,7 @@ impl Msg {
                     missing_shards.push(r.u32("fin missing shard index")?);
                 }
                 let mut trace_id = 0u64;
+                let mut timing = None;
                 let mut fidelity = Fidelity::Full;
                 read_exts(&mut r, |kind, body| {
                     match kind {
@@ -1433,6 +1318,7 @@ impl Msg {
                             let mut er = Reader { buf: body };
                             trace_id = er.u64("fin trace id")?;
                         }
+                        EXT_SHARD_TIMING => timing = Some(decode_shard_timing(body)?),
                         EXT_FIDELITY => {
                             let mut er = Reader { buf: body };
                             fidelity = Fidelity::from_u8(er.u8("fin fidelity")?);
@@ -1447,6 +1333,7 @@ impl Msg {
                     degraded,
                     missing_shards,
                     trace_id,
+                    timing,
                     fidelity,
                 }
             }
@@ -1517,6 +1404,7 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<Msg, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swsimd_obs::flight::{Stage, StageTiming};
 
     fn roundtrip(msg: Msg) {
         let framed = frame(&msg.encode());
@@ -1696,7 +1584,17 @@ mod tests {
             degraded: true,
             missing_shards: vec![2],
             trace_id: 0xFACE,
+            timing: None,
             fidelity: Fidelity::ScoreOnly,
+        });
+        roundtrip(Msg::Fin {
+            id: 12,
+            digest: 1,
+            degraded: false,
+            missing_shards: vec![],
+            trace_id: 0xFACE,
+            timing: Some(sample_timing()),
+            fidelity: Fidelity::Full,
         });
     }
 
@@ -1786,6 +1684,7 @@ mod tests {
             degraded: false,
             missing_shards: vec![],
             trace_id: 0,
+            timing: None,
             fidelity: Fidelity::Full,
         };
         let mut bytes = fin.encode();

@@ -12,12 +12,13 @@
 //! so a burst of fast queries cannot evict the interesting ones.
 //!
 //! The recorder is process-global and enabled by default: its cost is
-//! one relaxed atomic load plus one short uncontended mutex push per
-//! completed request (bounded by the `obs_overhead` gate), which is
-//! noise next to even the smallest kernel call. It allocates nothing
-//! on the query path beyond the record itself.
+//! one relaxed atomic load plus one short uncontended mutex-held encode
+//! per completed request (bounded by the `obs_overhead` gate), which is
+//! noise next to even the smallest kernel call. The rings keep records
+//! encoded in byte buffers reserved up front, so recording allocates
+//! nothing and the recorder's memory is bounded whatever thread files
+//! a record.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
@@ -254,9 +255,243 @@ impl AuditRecord {
     }
 }
 
+// ---------------------------------------------------------------------
+// Binary encoding: the layout `Msg::FlightRecords` and the shard-timing
+// wire extension carry, and the form the recorder keeps records in.
+// Decoding never panics; an error names the field that was short or
+// invalid.
+// ---------------------------------------------------------------------
+
+const AUDIT_FLAG_OK: u8 = 1;
+const AUDIT_FLAG_DEGRADED: u8 = 2;
+
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], &'static str> {
+    if buf.len() < n {
+        return Err(what);
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+fn read<const N: usize>(buf: &mut &[u8], what: &'static str) -> Result<[u8; N], &'static str> {
+    Ok(take(buf, N, what)?
+        .try_into()
+        .expect("take returned N bytes"))
+}
+
+/// A length-prefixed string, cut to 255 bytes at a character boundary.
+fn push_len_str(out: &mut Vec<u8>, s: &str) {
+    let mut n = s.len().min(u8::MAX as usize);
+    while !s.is_char_boundary(n) {
+        n -= 1;
+    }
+    out.push(n as u8);
+    out.extend_from_slice(&s.as_bytes()[..n]);
+}
+
+fn read_len_str(buf: &mut &[u8], what: &'static str) -> Result<String, &'static str> {
+    let [n] = read(buf, what)?;
+    let bytes = take(buf, n as usize, what)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| what)
+}
+
+fn push_stage_timings(out: &mut Vec<u8>, stages: &[StageTiming]) {
+    out.push(stages.len().min(u8::MAX as usize) as u8);
+    for st in stages.iter().take(u8::MAX as usize) {
+        out.push(st.stage.as_u8());
+        out.extend_from_slice(&st.ns.to_le_bytes());
+    }
+}
+
+/// Unknown stage tags (from a newer peer) are skipped, not rejected.
+fn read_stage_timings(buf: &mut &[u8]) -> Result<Vec<StageTiming>, &'static str> {
+    let [n] = read(buf, "stage count")?;
+    let mut stages = Vec::with_capacity((n as usize).min(Stage::ALL.len()));
+    for _ in 0..n {
+        let [tag] = read(buf, "stage tag")?;
+        let ns = u64::from_le_bytes(read(buf, "stage ns")?);
+        if let Some(stage) = Stage::from_u8(tag) {
+            stages.push(StageTiming { stage, ns });
+        }
+    }
+    Ok(stages)
+}
+
+impl ShardTiming {
+    /// Append this summary's binary encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.shard.to_le_bytes());
+        out.extend_from_slice(&self.root_span.to_le_bytes());
+        out.extend_from_slice(&self.rtt_ns.to_le_bytes());
+        push_len_str(out, &self.engine);
+        push_stage_timings(out, &self.stages);
+    }
+
+    /// Decode a summary. Trailing bytes are ignored on purpose: a newer
+    /// peer may append fields.
+    pub fn decode(mut bytes: &[u8]) -> Result<ShardTiming, &'static str> {
+        let buf = &mut bytes;
+        Ok(ShardTiming {
+            shard: u32::from_le_bytes(read(buf, "timing shard")?),
+            root_span: u64::from_le_bytes(read(buf, "timing root span")?),
+            rtt_ns: u64::from_le_bytes(read(buf, "timing rtt")?),
+            engine: read_len_str(buf, "timing engine")?,
+            stages: read_stage_timings(buf)?,
+        })
+    }
+}
+
+impl AuditRecord {
+    /// Append this record's binary encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.trace_id.to_le_bytes());
+        out.extend_from_slice(&self.query_id.to_le_bytes());
+        out.extend_from_slice(&self.total_ns.to_le_bytes());
+        out.extend_from_slice(&self.cost.to_le_bytes());
+        out.extend_from_slice(&self.retries.to_le_bytes());
+        out.extend_from_slice(&self.hedges.to_le_bytes());
+        let mut flags = 0u8;
+        if self.ok {
+            flags |= AUDIT_FLAG_OK;
+        }
+        if self.degraded {
+            flags |= AUDIT_FLAG_DEGRADED;
+        }
+        out.push(flags);
+        push_len_str(out, &self.engine);
+        push_len_str(out, &self.cancel);
+        push_stage_timings(out, &self.stages);
+        out.push(self.shards.len().min(u8::MAX as usize) as u8);
+        for sh in self.shards.iter().take(u8::MAX as usize) {
+            let len_at = out.len();
+            out.extend_from_slice(&[0, 0]);
+            sh.encode(out);
+            let len = (out.len() - len_at - 2) as u16;
+            out[len_at..len_at + 2].copy_from_slice(&len.to_le_bytes());
+        }
+        push_len_str(out, &self.tenant);
+    }
+
+    /// Decode one record from the front of `buf`, advancing past it. A
+    /// record that ends before its tenant (from a peer that predates
+    /// tenants) decodes with an empty tenant.
+    pub fn decode(buf: &mut &[u8]) -> Result<AuditRecord, &'static str> {
+        let trace_id = u64::from_le_bytes(read(buf, "audit trace id")?);
+        let query_id = u64::from_le_bytes(read(buf, "audit query id")?);
+        let total_ns = u64::from_le_bytes(read(buf, "audit total")?);
+        let cost = u64::from_le_bytes(read(buf, "audit cost")?);
+        let retries = u32::from_le_bytes(read(buf, "audit retries")?);
+        let hedges = u32::from_le_bytes(read(buf, "audit hedges")?);
+        let [flags] = read(buf, "audit flags")?;
+        let engine = read_len_str(buf, "audit engine")?;
+        let cancel = read_len_str(buf, "audit cancel")?;
+        let stages = read_stage_timings(buf)?;
+        let [n_shards] = read(buf, "audit shard count")?;
+        let mut shards = Vec::with_capacity(n_shards as usize);
+        for _ in 0..n_shards {
+            let len = u16::from_le_bytes(read(buf, "audit shard timing length")?);
+            shards.push(ShardTiming::decode(take(
+                buf,
+                len as usize,
+                "audit shard timing",
+            )?)?);
+        }
+        let tenant = if buf.is_empty() {
+            String::new()
+        } else {
+            read_len_str(buf, "audit tenant")?
+        };
+        Ok(AuditRecord {
+            trace_id,
+            query_id,
+            total_ns,
+            stages,
+            shards,
+            engine,
+            retries,
+            hedges,
+            degraded: flags & AUDIT_FLAG_DEGRADED != 0,
+            cost,
+            cancel,
+            ok: flags & AUDIT_FLAG_OK != 0,
+            tenant,
+        })
+    }
+}
+
+/// Bytes per record slot. A gateway record over three shards encodes to
+/// about 250 bytes; one too large for a slot is filed with its
+/// per-shard timings cut from the end until it fits.
+const SLOT_BYTES: usize = 1024;
+
+/// A ring of encoded records in fixed-size slots of one buffer
+/// allocated up front: record `n` goes to slot `n % slots`, overwriting
+/// the oldest. The ring therefore keeps no allocation made by the
+/// thread that filed a record. Kept as live objects, records filed by
+/// short-lived threads would pin the allocator's per-thread heaps at
+/// their high-water mark.
+struct Log {
+    /// `slots × SLOT_BYTES`, zeroed, so untouched slots cost no
+    /// resident memory.
+    bytes: Vec<u8>,
+    /// Per slot: the trace id and encoded length of the record it holds.
+    held: Vec<(u64, usize)>,
+    /// Records filed so far.
+    filed: usize,
+}
+
+impl Log {
+    fn new(slots: usize) -> Log {
+        Log {
+            bytes: vec![0; slots * SLOT_BYTES],
+            held: vec![(0, 0); slots],
+            filed: 0,
+        }
+    }
+
+    /// Slots holding a record, newest first.
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        let slots = self.held.len();
+        (1..=self.filed.min(slots)).map(move |back| (self.filed - back) % slots)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.live().count()
+    }
+
+    /// File an encoded record of at most [`SLOT_BYTES`].
+    fn push(&mut self, trace_id: u64, encoded: &[u8]) {
+        let slot = self.filed % self.held.len();
+        self.bytes[slot * SLOT_BYTES..][..encoded.len()].copy_from_slice(encoded);
+        self.held[slot] = (trace_id, encoded.len());
+        self.filed += 1;
+    }
+
+    fn decode(&self, slot: usize) -> AuditRecord {
+        let len = self.held[slot].1;
+        AuditRecord::decode(&mut &self.bytes[slot * SLOT_BYTES..][..len])
+            .expect("the ring holds records it encoded")
+    }
+
+    /// The record filed under `trace_id` most recently, if still held.
+    fn lookup(&self, trace_id: u64) -> Option<AuditRecord> {
+        let slot = self.live().find(|&s| self.held[s].0 == trace_id)?;
+        Some(self.decode(slot))
+    }
+
+    /// The `n` most recent records, newest first.
+    fn recent(&self, n: usize) -> Vec<AuditRecord> {
+        self.live().take(n).map(|s| self.decode(s)).collect()
+    }
+}
+
 struct Rings {
-    ring: VecDeque<AuditRecord>,
-    slow: VecDeque<AuditRecord>,
+    ring: Log,
+    slow: Log,
+    /// Encoding buffer, reused for every record.
+    scratch: Vec<u8>,
 }
 
 /// The process-global per-query flight recorder.
@@ -279,8 +514,9 @@ impl FlightRecorder {
     fn new() -> FlightRecorder {
         FlightRecorder {
             rings: Mutex::new(Rings {
-                ring: VecDeque::with_capacity(RING_CAPACITY),
-                slow: VecDeque::with_capacity(SLOW_CAPACITY),
+                ring: Log::new(RING_CAPACITY),
+                slow: Log::new(SLOW_CAPACITY),
+                scratch: Vec::with_capacity(SLOT_BYTES),
             }),
             enabled: AtomicBool::new(true),
             slow_threshold_ns: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_NS),
@@ -324,25 +560,33 @@ impl FlightRecorder {
     }
 
     /// Record one completed request. Cheap: a relaxed load when
-    /// disabled; one short mutex push when enabled.
-    pub fn record(&self, rec: AuditRecord) {
+    /// disabled; one short mutex-held encode when enabled.
+    pub fn record(&self, mut rec: AuditRecord) {
         if !self.enabled.load(Relaxed) {
             return;
         }
         self.recorded.fetch_add(1, Relaxed);
         let slow = rec.total_ns >= self.slow_threshold_ns.load(Relaxed);
         let mut rings = self.lock();
-        if rings.ring.len() == RING_CAPACITY {
-            rings.ring.pop_front();
+        let Rings {
+            ring,
+            slow: slow_log,
+            scratch,
+        } = &mut *rings;
+        scratch.clear();
+        rec.encode(scratch);
+        while scratch.len() > SLOT_BYTES && rec.shards.pop().is_some() {
+            scratch.clear();
+            rec.encode(scratch);
+        }
+        if scratch.len() > SLOT_BYTES {
+            return;
         }
         if slow {
             self.promoted.fetch_add(1, Relaxed);
-            if rings.slow.len() == SLOW_CAPACITY {
-                rings.slow.pop_front();
-            }
-            rings.slow.push_back(rec.clone());
+            slow_log.push(rec.trace_id, scratch);
         }
-        rings.ring.push_back(rec);
+        ring.push(rec.trace_id, scratch);
     }
 
     /// Find a record by trace id (checks the slow log too, which
@@ -351,21 +595,18 @@ impl FlightRecorder {
         let rings = self.lock();
         rings
             .ring
-            .iter()
-            .rev()
-            .find(|r| r.trace_id == trace_id)
-            .or_else(|| rings.slow.iter().rev().find(|r| r.trace_id == trace_id))
-            .cloned()
+            .lookup(trace_id)
+            .or_else(|| rings.slow.lookup(trace_id))
     }
 
     /// The `n` most recent records, newest first.
     pub fn recent(&self, n: usize) -> Vec<AuditRecord> {
-        self.lock().ring.iter().rev().take(n).cloned().collect()
+        self.lock().ring.recent(n)
     }
 
     /// The `n` most recent slow-log records, newest first.
     pub fn slowlog(&self, n: usize) -> Vec<AuditRecord> {
-        self.lock().slow.iter().rev().take(n).cloned().collect()
+        self.lock().slow.recent(n)
     }
 
     /// JSON array of the `n` most recent slow-log records.
@@ -496,5 +737,69 @@ mod tests {
         r.engine = "a\"b\\c\n".into();
         assert!(r.to_json().contains("a\\\"b\\\\c\\u000a"));
         assert_eq!(r.stage_sum_ns(), 1000);
+    }
+
+    fn with_shards(mut r: AuditRecord, n: u64) -> AuditRecord {
+        for s in 0..n {
+            r.shards.push(ShardTiming {
+                shard: s as u32,
+                root_span: r.trace_id,
+                engine: "é".repeat(20),
+                rtt_ns: s,
+                stages: vec![],
+            });
+        }
+        r
+    }
+
+    /// Records of mixed sizes wrap around a small ring: the newest 16
+    /// are held, newest first, and each decodes to exactly what was
+    /// filed.
+    #[test]
+    fn log_wraps_without_corrupting_records() {
+        let mut log = Log::new(16);
+        let mut filed = Vec::new();
+        let mut scratch = Vec::new();
+        for i in 0..200u64 {
+            let r = with_shards(rec(i + 1, i * 7), i * 5 % 9);
+            scratch.clear();
+            r.encode(&mut scratch);
+            log.push(r.trace_id, &scratch);
+            filed.push(r);
+            let newest: Vec<_> = filed.iter().rev().take(16).cloned().collect();
+            assert_eq!(log.len(), newest.len());
+            assert_eq!(log.recent(usize::MAX), newest);
+            assert_eq!(log.lookup(i + 1).as_ref(), filed.last());
+        }
+        assert!(log.lookup(1).is_none(), "the oldest were overwritten");
+    }
+
+    /// A record too large for a slot is filed with its per-shard
+    /// timings cut from the end until it fits.
+    #[test]
+    fn oversized_records_lose_trailing_shard_timings() {
+        let fr = FlightRecorder::new();
+        fr.record(with_shards(rec(7, 10), 40));
+        let held = fr.lookup(7).expect("filed");
+        assert!(!held.shards.is_empty() && held.shards.len() < 40);
+        assert_eq!(
+            held.shards,
+            with_shards(rec(7, 10), 40).shards[..held.shards.len()]
+        );
+        let mut bytes = Vec::new();
+        held.encode(&mut bytes);
+        assert!(bytes.len() <= SLOT_BYTES);
+    }
+
+    /// Strings past 255 bytes are cut at a character boundary, so a
+    /// cut record still decodes.
+    #[test]
+    fn long_strings_are_cut_on_a_character_boundary() {
+        let mut r = rec(1, 10);
+        r.engine = "é".repeat(200);
+        let mut bytes = Vec::new();
+        r.encode(&mut bytes);
+        let back = AuditRecord::decode(&mut &bytes[..]).unwrap();
+        assert_eq!(back.engine, "é".repeat(127));
     }
 }

@@ -7,6 +7,8 @@
 //! the per-architecture frequency/scaling model used to recalibrate
 //! single-thread baselines (Fig 11).
 
+use std::time::Duration;
+#[cfg(not(target_os = "linux"))]
 use std::time::Instant;
 
 use crate::arch::{ArchProfile, VectorLicence};
@@ -14,17 +16,19 @@ use crate::arch::{ArchProfile, VectorLicence};
 /// Measure the effective CPU frequency of the calling thread in GHz.
 ///
 /// Runs a dependent integer add chain (IPC ≈ 1 per chain element on
-/// every modeled core) for roughly `millis` ms and converts retired
-/// adds to cycles. Accuracy is within a few percent on an idle core;
-/// under contention it reports the *delivered* frequency, which is the
+/// every modeled core) for roughly `millis` ms of the thread's own CPU
+/// time and converts retired adds to cycles. Accuracy is within a few
+/// percent on an idle core. Time the scheduler spends running other
+/// threads is not counted, so a loaded machine does not read as a slow
+/// clock; frequency droop under contention still shows, which is the
 /// quantity the paper recalibrates with.
 pub fn measure_effective_ghz(millis: u64) -> f64 {
     const CHAIN: usize = 1024;
-    let start = Instant::now();
-    let budget = std::time::Duration::from_millis(millis.max(1));
+    let start = thread_cpu_time();
+    let budget = Duration::from_millis(millis.max(1));
     let mut x = 1u64;
     let mut iters = 0u64;
-    while start.elapsed() < budget {
+    while thread_cpu_time() - start < budget {
         for _ in 0..64 {
             // 16 dependent adds per unrolled step, CHAIN/16 steps.
             for _ in 0..CHAIN / 16 {
@@ -49,11 +53,39 @@ pub fn measure_effective_ghz(millis: u64) -> f64 {
         }
         std::hint::black_box(x);
     }
-    let secs = start.elapsed().as_secs_f64();
+    let secs = (thread_cpu_time() - start).as_secs_f64();
     let adds = iters as f64 * CHAIN as f64;
     // Two dependent adds per chain pair → ~1 cycle per add on the
     // modeled cores.
     adds / secs / 1e9
+}
+
+/// CPU time the calling thread has consumed.
+#[cfg(target_os = "linux")]
+fn thread_cpu_time() -> Duration {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `Timespec` matches the C `struct timespec` layout on
+    // 64-bit Linux and outlives the call; the clock id is valid for
+    // every thread.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "thread CPU clock unavailable");
+    Duration::new(ts.sec as u64, ts.nsec as u32)
+}
+
+/// Elsewhere, wall time since first use stands in for thread CPU time.
+#[cfg(not(target_os = "linux"))]
+fn thread_cpu_time() -> Duration {
+    static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed()
 }
 
 /// Thread-scaling prediction for one architecture (Fig 11).

@@ -344,6 +344,102 @@ fn hedged_request_overtakes_a_slow_replica() {
     assert!(slow.shutdown());
 }
 
+/// A replica that accepts queries but never sends a frame (a wedged
+/// process) is struck even when a hedge answers every query in its
+/// place: losing the race does not excuse silence past
+/// `request_timeout`.
+#[test]
+fn silent_replica_losing_the_hedge_race_is_still_struck() {
+    let db = db(24, 425);
+    let q = enc(40, 426);
+    let want = reference_hits(&q, &db, 5);
+    let silent = start_shard(
+        &db,
+        0,
+        1,
+        FaultPlan::new().delay_reply_at(0, Duration::from_millis(1500)),
+    );
+    let fast = start_shard(&db, 0, 1, FaultPlan::default());
+    let gw = Gateway::new(GatewayConfig {
+        shards: vec![vec![
+            silent.local_addr().to_string(),
+            fast.local_addr().to_string(),
+        ]],
+        retry: fast_retry(),
+        request_timeout: Duration::from_millis(300),
+        hedge_after: Some(Duration::from_millis(30)),
+        strike_threshold: 2,
+        ..Default::default()
+    });
+    for _ in 0..2 {
+        let resp = gw.query(&q, 5, None).expect("the hedge answers");
+        assert_eq!(resp.hits, want);
+    }
+    // Each silent conversation is struck when its request_timeout runs
+    // out, after its query was answered.
+    let until = Instant::now() + Duration::from_secs(5);
+    while gw.replica_states()[0] != BreakerState::Down {
+        assert!(
+            Instant::now() < until,
+            "the silent primary was never struck: {:?}",
+            gw.replica_states()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(gw.replica_states()[1], BreakerState::Healthy);
+    assert!(fast.shutdown());
+    // The silent shard's connection threads sleep out their reply
+    // delays; Drop waits them out (bounded by the delay).
+    drop(silent);
+}
+
+/// A one-shot query's `request_timeout` bounds the whole reply: the
+/// heartbeats of a shard whose worker is stuck do not extend it, so
+/// with no deadline and no hedge the held slice still ends missing.
+#[test]
+fn one_shot_request_timeout_is_not_extended_by_heartbeats() {
+    let db = db(24, 427);
+    let q = enc(40, 428);
+    let s0 = start_shard(&db, 0, 2, FaultPlan::default());
+    let held = start_shard_cfg(
+        &db,
+        ShardConfig {
+            shard_index: 1,
+            shard_count: 2,
+            server: ServerConfig {
+                fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(2500)),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let gw = gateway_over(
+        &[&s0, &held],
+        GatewayConfig {
+            retry: RetryPolicy {
+                budget: 1,
+                ..fast_retry()
+            },
+            // Spans two 250 ms heartbeats.
+            request_timeout: Duration::from_millis(700),
+            ..Default::default()
+        },
+    );
+    let started = Instant::now();
+    let resp = gw
+        .query(&q, 5, None)
+        .expect("a partly answered query degrades");
+    let elapsed = started.elapsed();
+    assert!(resp.degraded);
+    assert_eq!(resp.missing_shards, vec![1]);
+    assert!(
+        elapsed < Duration::from_millis(1800),
+        "the held slice outlived its request_timeout: {elapsed:?}"
+    );
+    assert!(s0.shutdown());
+    drop(held);
+}
+
 #[test]
 fn real_tcp_disconnect_cancels_with_client_drop() {
     let db = db(24, 411);
@@ -548,6 +644,75 @@ fn deadline_propagates_across_the_wire_as_a_fatal_error() {
         "fatal errors must not be retried"
     );
     assert!(shard.shutdown());
+}
+
+/// The gateway owns the deadline: a replica that stays silent past it
+/// takes a breaker strike and its slice ends as `Deadline`. With no
+/// slice answered the query fails typed `DeadlineExceeded` (not
+/// `Unavailable`); with some answered it degrades.
+#[test]
+fn stalled_reply_past_the_deadline_fails_typed_or_degrades() {
+    let db = db(24, 423);
+    let q = enc(40, 424);
+    let stalled = start_shard(
+        &db,
+        0,
+        1,
+        FaultPlan::new().delay_reply_at(0, Duration::from_millis(400)),
+    );
+    let gw = gateway_over(
+        &[&stalled],
+        GatewayConfig {
+            retry: fast_retry(),
+            strike_threshold: 1,
+            ..Default::default()
+        },
+    );
+    match gw.query(&q, 5, Some(Duration::from_millis(60))) {
+        Err(RemoteError::Serve(ServeError::DeadlineExceeded)) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    assert_eq!(
+        gw.replica_states()[0],
+        BreakerState::Down,
+        "the stalled replica takes its strike"
+    );
+
+    // Two slices, one stalled: the answered slice comes back exact,
+    // the stalled one is reported missing.
+    let ranges = db.partition(2);
+    let s0 = start_shard(&db, 0, 2, FaultPlan::default());
+    let s1 = start_shard(
+        &db,
+        1,
+        2,
+        FaultPlan::new().delay_reply_at(1, Duration::from_millis(1500)),
+    );
+    let gw = gateway_over(
+        &[&s0, &s1],
+        GatewayConfig {
+            retry: fast_retry(),
+            ..Default::default()
+        },
+    );
+    let resp = gw
+        .query(&q, 5, Some(Duration::from_millis(400)))
+        .expect("a partly answered query degrades");
+    assert!(resp.degraded);
+    assert_eq!(resp.missing_shards, vec![1]);
+    let want_partial = rank_hits(
+        reference_hits(&q, &db, 0)
+            .into_iter()
+            .filter(|h| ranges[0].contains(&h.db_index))
+            .collect(),
+        5,
+    );
+    assert_eq!(resp.hits, want_partial);
+    assert!(s0.shutdown());
+    // The stalled shards' connection threads sleep out their reply
+    // delays; Drop waits them out (bounded by the delay).
+    drop(s1);
+    drop(stalled);
 }
 
 /// The acceptance scenario: a shard that accepted the query and then

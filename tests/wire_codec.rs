@@ -338,7 +338,7 @@ proptest! {
         fidelity in fidelity_strategy(),
     ) {
         let msg = Msg::Fin {
-            id, digest, degraded, missing_shards: missing, trace_id, fidelity,
+            id, digest, degraded, missing_shards: missing, trace_id, timing: None, fidelity,
         };
         prop_assert_eq!(roundtrip(&msg), msg);
     }
@@ -464,6 +464,7 @@ fn arbitrary_msg(seed: &mut u64) -> Msg {
                 .map(|_| (splitmix64(seed) % 64) as u32)
                 .collect(),
             trace_id: splitmix64(seed) % 2 * splitmix64(seed),
+            timing: None,
             fidelity: Fidelity::from_u8((splitmix64(seed) % 4) as u8),
         },
         1 => Msg::Pong {
@@ -910,6 +911,7 @@ fn non_stream_replies_are_byte_stable_for_old_clients() {
                 degraded: false,
                 missing_shards: vec![],
                 trace_id: 0,
+                timing: None,
                 fidelity: Fidelity::Full,
             },
             20,
@@ -959,4 +961,59 @@ fn non_stream_replies_are_byte_stable_for_old_clients() {
         b
     };
     assert_eq!(err.encode(), expect_err, "Error reply encoding moved");
+}
+
+/// A shard's `Fin` carries its timing summary on the `Hits` timing
+/// extension; a `Fin` without one keeps its pre-timing bytes, and an
+/// untimed frame from an older peer still decodes.
+#[test]
+fn fin_timing_extension_round_trips_and_stays_optional() {
+    let untimed = Msg::Fin {
+        id: 5,
+        digest: 0xABCD_0123,
+        degraded: true,
+        missing_shards: vec![1],
+        trace_id: 0,
+        timing: None,
+        fidelity: Fidelity::Full,
+    };
+    let expect: Vec<u8> = {
+        let mut b = vec![20u8]; // KIND_FIN
+        b.extend_from_slice(&5u64.to_le_bytes());
+        b.extend_from_slice(&0xABCD_0123u32.to_le_bytes());
+        b.push(1); // degraded
+        b.extend_from_slice(&1u32.to_le_bytes()); // missing count
+        b.extend_from_slice(&1u32.to_le_bytes()); // missing slice
+        b // no extension tail: untraced, untimed, full fidelity
+    };
+    assert_eq!(untimed.encode(), expect, "untimed Fin encoding moved");
+    assert_eq!(roundtrip(&untimed), untimed);
+
+    let timed = Msg::Fin {
+        id: 5,
+        digest: 0xABCD_0123,
+        degraded: true,
+        missing_shards: vec![1],
+        trace_id: 0,
+        timing: Some(ShardTiming {
+            shard: 2,
+            root_span: 0x77,
+            engine: "AVX2".into(),
+            rtt_ns: 1_500_000,
+            stages: vec![
+                StageTiming {
+                    stage: Stage::Queue,
+                    ns: 10,
+                },
+                StageTiming {
+                    stage: Stage::Kernel,
+                    ns: 900_000,
+                },
+            ],
+        }),
+        fidelity: Fidelity::Full,
+    };
+    let bytes = timed.encode();
+    assert!(bytes.starts_with(&expect), "timing rides in the tail only");
+    assert_eq!(roundtrip(&timed), timed);
 }
